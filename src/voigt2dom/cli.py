@@ -6,7 +6,6 @@ All outputs are CSV with 17 significant digits (binary64 round-trip safe),
 """
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -128,14 +127,9 @@ def cmd_eval(args, parser):
             parser.error("--opt 1 produces the real part only; use --part re")
         if args.opt == 2 and args.part != "im":
             parser.error("--opt 2 produces the imaginary part only; use --part im")
-        values = evaluate(xs, args.y, opt=args.opt, config=config)
-        w = np.asarray(values, dtype=complex)
-        if args.opt == 1:
-            w = w.real + 0j
-        elif args.opt == 2:
-            w = 1j * w.real
-    else:
-        w = _algo_callable(args.algo, args.y, config)(xs)
+    # opt 1 and 2 are projections of the full complex values, so the part
+    # written below is the same either way
+    w = _algo_callable(args.algo, args.y, config)(xs)
 
     if args.part == "both":
         header = ("x", "re", "im")
@@ -287,13 +281,6 @@ def build_parser():
     return parser
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("VOIGT_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 _RANGE_FLAGS = ("--x-range", "--y-range", "--ranges")
 
 
@@ -314,7 +301,6 @@ def _glue_range_values(argv):
 
 
 def main(argv=None):
-    _apply_thread_cap()
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]

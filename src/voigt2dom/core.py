@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import as_complex_array, restore_shape
+from ._common import as_complex_array, dispatch, restore_shape
 from .exceptions import ParameterError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -74,9 +74,13 @@ class SamplingCoefficients:
     b: np.ndarray        # purely imaginary
     c: np.ndarray        # real, strictly increasing
     alpha: np.ndarray    # b*(c^2 - varsigma^2/4) + i*a*varsigma
-    beta: np.ndarray     # == b
     gamma: np.ndarray    # c^4 + c^2 varsigma^2/2 + varsigma^4/16
     theta: np.ndarray    # 2 c^2 - varsigma^2/2
+
+    @property
+    def beta(self):
+        """The symmetrized expansion's beta table, which equals ``b``."""
+        return self.b
 
 
 def build_sampling_coefficients(params=None):
@@ -112,13 +116,12 @@ def build_sampling_coefficients(params=None):
     c = np.pi * (m - 0.5) / (2.0 * p.M * p.h)
 
     alpha = b * (c**2 - p.varsigma**2 / 4.0) + 1j * a * p.varsigma
-    beta = b.copy()
     gamma = c**4 + c**2 * p.varsigma**2 / 2.0 + p.varsigma**4 / 16.0
     theta = 2.0 * c**2 - p.varsigma**2 / 2.0
 
-    for arr in (a, b, c, alpha, beta, gamma, theta):
+    for arr in (a, b, c, alpha, gamma, theta):
         arr.flags.writeable = False
-    return SamplingCoefficients(p, a, b, c, alpha, beta, gamma, theta)
+    return SamplingCoefficients(p, a, b, c, alpha, gamma, theta)
 
 
 _DEFAULT_COEFFS = build_sampling_coefficients()
@@ -151,7 +154,7 @@ def w_sampling(z, coeffs=None):
         np.subtract(c2m, u2, out=den)
         num /= den
         acc += num
-    return restore_shape(acc, z)
+    return restore_shape(acc, zz)
 
 
 def w_symmetrized(z, coeffs=None):
@@ -178,7 +181,7 @@ def w_symmetrized(z, coeffs=None):
         num /= den
         acc += num
     out = np.exp(-z2) + zz * acc
-    return restore_shape(out, z)
+    return restore_shape(out, zz)
 
 
 def w_continued_fraction(z, depth=11):
@@ -190,8 +193,23 @@ def w_continued_fraction(z, depth=11):
     """
     if not isinstance(depth, (int, np.integer)) or depth < 1:
         raise ParameterError(f"depth must be a positive integer, got {depth!r}")
+    return _fold(z, depth)
+
+
+def w_cf_external(z):
+    """Four-level continued fraction used outside the two-domain radius (|z| > 35).
+
+    Bottom-up with partial numerators {1/2, 1, 3/2, 2}: start ``E = 2/z`` and
+    fold ``E <- a/(z - E)`` for a = 3/2, 1, 1/2, then ``(i/sqrt(pi))/(z - E)``.
+    This is exactly ``w_continued_fraction(z, 4)``, bit for bit.
+    """
+    return _fold(z, 4)
+
+
+def _fold(z, depth):
+    """The Laplace continued fraction of the given depth, folded bottom-up."""
     zz = as_complex_array(z)
-    flat = np.atleast_1d(zz)
+    flat = zz.ravel()
     # two reusable buffers; fresh temporaries per level would dominate the
     # run time of large whole-array calls
     frac = np.divide(0.5 * depth, flat)
@@ -201,25 +219,7 @@ def w_continued_fraction(z, depth=11):
         np.divide(0.5 * k, den, out=frac)
     np.subtract(flat, frac, out=den)
     out = np.divide(1j / SQRT_PI, den, out=frac)
-    return restore_shape(out.reshape(zz.shape), z)
-
-
-def w_cf_external(z):
-    """Four-level continued fraction used outside the two-domain radius (|z| > 35).
-
-    Bottom-up with partial numerators {1/2, 1, 3/2, 2}: start ``E = 2/z`` and
-    fold ``E <- a/(z - E)`` for a = 3/2, 1, 1/2, then ``(i/sqrt(pi))/(z - E)``.
-    """
-    zz = as_complex_array(z)
-    flat = np.atleast_1d(zz)
-    frac = np.divide(2.0, flat)
-    den = np.empty_like(flat)
-    for a in (1.5, 1.0, 0.5):
-        np.subtract(flat, frac, out=den)
-        np.divide(a, den, out=frac)
-    np.subtract(flat, frac, out=den)
-    out = np.divide(1j / SQRT_PI, den, out=frac)
-    return restore_shape(out.reshape(zz.shape), z)
+    return restore_shape(out, zz)
 
 
 def fadsamp(z, coeffs=None):
@@ -244,21 +244,16 @@ def fadsamp(z, coeffs=None):
     """
     co = coeffs if coeffs is not None else _DEFAULT_COEFFS
     zz = as_complex_array(z)
-    flat = np.atleast_1d(zz)
+    flat = zz.ravel()
 
     inner = np.abs(flat) <= 8.0
     use_sampling = inner & (flat.imag > 0.05 * flat.real)
-    use_symmetric = inner & ~use_sampling
-    use_cf = ~inner
-
-    out = np.empty_like(flat)
-    if use_sampling.any():
-        out[use_sampling] = w_sampling(flat[use_sampling], co)
-    if use_symmetric.any():
-        out[use_symmetric] = w_symmetrized(flat[use_symmetric], co)
-    if use_cf.any():
-        out[use_cf] = w_continued_fraction(flat[use_cf], 11)
-    return restore_shape(out.reshape(zz.shape), z)
+    out = dispatch(flat, (
+        (use_sampling, lambda v: w_sampling(v, co)),
+        (inner & ~use_sampling, lambda v: w_symmetrized(v, co)),
+        (~inner, lambda v: w_continued_fraction(v, 11)),
+    ))
+    return restore_shape(out, zz)
 
 
 def w_simple_rational(z):
@@ -275,4 +270,4 @@ def w_simple_rational(z):
     """
     zz = as_complex_array(z)
     out = (1j / SQRT_PI) / (zz - 0.5 / zz)
-    return restore_shape(out, z)
+    return restore_shape(out, zz)

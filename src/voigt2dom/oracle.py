@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import as_complex_array, restore_shape
+from ._common import as_complex_array, dispatch, restore_shape
 from .core import w_continued_fraction
 from .exceptions import OracleDomainError
 from .trapezoid import TrapParams, wtrap
@@ -95,7 +95,7 @@ def _region_masks(r):
 def reference_values(z):
     """Vectorized reference evaluation; returns the complex values only."""
     zz = as_complex_array(z)
-    flat = np.atleast_1d(zz)
+    flat = zz.ravel()
     if np.any(flat.imag <= 0):
         raise OracleDomainError("reference is validated for Im z > 0 only")
     r = np.abs(flat)
@@ -103,14 +103,12 @@ def reference_values(z):
         raise OracleDomainError(f"reference is validated for |z| <= {_MAX_RADIUS:g}")
 
     series, trap, cf = _region_masks(r)
-    out = np.empty_like(flat)
-    if series.any():
-        out[series] = _series_values(flat[series])
-    if trap.any():
-        out[trap] = wtrap(flat[trap], _TRAP24)
-    if cf.any():
-        out[cf] = w_continued_fraction(flat[cf], 16)
-    return restore_shape(out.reshape(zz.shape), z)
+    out = dispatch(flat, (
+        (series, _series_values),
+        (trap, lambda v: wtrap(v, _TRAP24)),
+        (cf, lambda v: w_continued_fraction(v, 16)),
+    ))
+    return restore_shape(out, zz)
 
 
 def w_reference(z):
@@ -125,13 +123,8 @@ def w_reference(z):
     """
     zc = complex(z)
     value = reference_values(zc)
-    r = abs(zc)
-    if r <= _SERIES_RADIUS:
-        region = "series"
-    elif r < _CF_RADIUS:
-        region = "trap"
-    else:
-        region = "cf"
+    series, trap, _ = _region_masks(np.abs(zc))
+    region = "series" if series else "trap" if trap else "cf"
     return OracleResult(value, _calibration()[region], region)
 
 
@@ -154,9 +147,11 @@ def calibrate(samples=256, seed=20240214):
         return rad * np.exp(1j * ang)
 
     z1 = ring(1.9, 2.1)
-    d1 = np.max(np.abs(_series_values(z1) - wtrap(z1, _TRAP24)) / np.abs(_series_values(z1)))
+    s1 = _series_values(z1)
+    d1 = np.max(np.abs(s1 - wtrap(z1, _TRAP24)) / np.abs(s1))
     z2 = ring(7.9, 8.1)
-    d2 = np.max(np.abs(wtrap(z2, _TRAP24) - w_continued_fraction(z2, 16)) / np.abs(w_continued_fraction(z2, 16)))
+    c2 = w_continued_fraction(z2, 16)
+    d2 = np.max(np.abs(wtrap(z2, _TRAP24) - c2) / np.abs(c2))
 
     floor = 5e-16
     return {

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
+from ._common import restore_shape
 from .exceptions import ExtrapolationError, SplineConstructionError
 
 __all__ = ["CubicSpline", "build_spline", "eval_spline"]
@@ -113,7 +114,7 @@ def eval_spline(spline, x):
     :class:`ExtrapolationError`.
     """
     xq = np.asarray(x, dtype=np.float64)
-    flat = np.atleast_1d(xq)
+    flat = xq.ravel()
     k = spline.knots
     if flat.size:
         if not np.all(np.isfinite(flat)):
@@ -133,6 +134,4 @@ def eval_spline(spline, x):
     last = flat == k[-1]
     if last.any():
         out[last] = spline.right_value
-    if np.ndim(x) == 0:
-        return out[0].item()
-    return out.reshape(xq.shape)
+    return restore_shape(out, xq)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._common import as_complex_array, restore_shape
+from ._common import as_complex_array, dispatch, restore_shape
 from .exceptions import InputDomainError, ParameterError, PoleProximityError
 
 __all__ = [
@@ -87,23 +87,22 @@ def _residue_correction(zz, h, sign):
     numerator underflows cleanly to zero whenever y^2 - x^2 - 2 pi y / h is
     very negative (always the case under the wtrap dispatch).
     """
-    s = (-2j * math.pi / h) * zz
-    corr = np.empty_like(zz)
-    small = s.real <= _EXP_SWITCH
-    if small.any():
-        zs = zz[small]
-        den = 1.0 + sign * np.exp(s[small])
+    k = -2j * math.pi / h
+
+    def small(v):
+        den = 1.0 + sign * np.exp(k * v)
         if np.any(np.abs(den) < _POLE_TOL):
             raise PoleProximityError(
                 "evaluation point at a zero of 1 -+ exp(-2 i pi z / h)"
             )
-        corr[small] = 2.0 * np.exp(-zs * zs) / den
-    big = ~small
-    if big.any():
-        zb = zz[big]
-        sb = s[big]
-        corr[big] = 2.0 * np.exp(-zb * zb - sb) / (sign + np.exp(-sb))
-    return corr
+        return 2.0 * np.exp(-v * v) / den
+
+    def big(v):
+        s = k * v
+        return 2.0 * np.exp(-v * v - s) / (sign + np.exp(-s))
+
+    is_small = (k * zz).real <= _EXP_SWITCH
+    return dispatch(zz, ((is_small, small), (~is_small, big)))
 
 
 def wtrap_midpoint(z, params=None):
@@ -116,7 +115,7 @@ def wtrap_midpoint(z, params=None):
     zz = as_complex_array(z)
     t2, wt, _, _ = _tables(p)
     out = (2j * p.h / math.pi) * zz * _pole_sum(zz * zz, t2, wt)
-    return restore_shape(out, z)
+    return restore_shape(out, zz)
 
 
 def wtrap_corrected(z, params=None):
@@ -130,7 +129,7 @@ def wtrap_corrected(z, params=None):
     zz = as_complex_array(z)
     t2, wt, _, _ = _tables(p)
     out = _residue_correction(zz, p.h, +1.0) + (2j * p.h / math.pi) * zz * _pole_sum(zz * zz, t2, wt)
-    return restore_shape(out, z)
+    return restore_shape(out, zz)
 
 
 def wtrap_offset(z, params=None):
@@ -153,7 +152,7 @@ def wtrap_offset(z, params=None):
         + (1j * p.h / math.pi) / zz
         + (2j * p.h / math.pi) * zz * _pole_sum(zz * zz, tau2, wtau)
     )
-    return restore_shape(out, z)
+    return restore_shape(out, zz)
 
 
 def _branch_masks(x, y, h):
@@ -187,7 +186,7 @@ def wtrap(z, params=None):
     """
     p = params if params is not None else TrapParams()
     zz = as_complex_array(z)
-    flat = np.atleast_1d(zz)
+    flat = zz.ravel()
     if np.any(flat.imag <= 0):
         raise InputDomainError("wtrap requires Im z > 0")
 
@@ -195,22 +194,23 @@ def wtrap(z, params=None):
     zpos = np.where(neg, -np.conj(flat), flat)
     b1, b2, b3 = _branch_masks(zpos.real, zpos.imag, p.h)
 
-    out = np.empty_like(zpos)
-    for mask, rule in ((b1, wtrap_midpoint), (b2, wtrap_offset), (b3, wtrap_corrected)):
-        if mask.any():
-            out[mask] = rule(zpos[mask], p)
+    out = dispatch(zpos, (
+        (b1, lambda v: wtrap_midpoint(v, p)),
+        (b2, lambda v: wtrap_offset(v, p)),
+        (b3, lambda v: wtrap_corrected(v, p)),
+    ))
     out[neg] = np.conj(out[neg])
-    return restore_shape(out.reshape(zz.shape), z)
+    return restore_shape(out, zz)
 
 
 def wtrap_branches(z, params=None):
     """Branch index (1, 2 or 3) that :func:`wtrap` selects for each element."""
     p = params if params is not None else TrapParams()
     zz = as_complex_array(z)
-    flat = np.atleast_1d(zz)
+    flat = zz.ravel()
     x = np.abs(flat.real)
     b1, b2, _ = _branch_masks(x, flat.imag, p.h)
     out = np.full(flat.shape, 3, dtype=np.int64)
     out[b2] = 2
     out[b1] = 1
-    return restore_shape(out.reshape(zz.shape), z)
+    return restore_shape(out, zz)

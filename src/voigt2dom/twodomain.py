@@ -27,7 +27,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from ._common import as_real_array
+from ._common import as_real_array, dispatch, restore_shape
 from .core import fadsamp, w_cf_external
 from .exceptions import (
     DefaultOptionNotice,
@@ -99,7 +99,7 @@ _DEFAULT_CONFIG = TwoDomainConfig()
 _GAUSS_SUB_Y = 0.25
 
 
-def _check_y(y, cfg):
+def _check_y(y):
     if np.ndim(y) != 0:
         raise InputDomainError("Input parameter y must be a scalar")
     y = float(y)
@@ -119,7 +119,7 @@ def grid_count(y, config=None):
     bypass instead.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
-    y = _check_y(y, cfg)
+    y = _check_y(y)
     if y < cfg.y_floor:
         raise InputDomainError(
             f"y={y!r} is below the interpolation floor {cfg.y_floor!r}; "
@@ -175,7 +175,7 @@ class TwoDomainEvaluator:
         if not isinstance(cfg, TwoDomainConfig):
             raise ParameterError("config must be a TwoDomainConfig instance")
         self.config = cfg
-        self.y = _check_y(y, cfg)
+        self.y = _check_y(y)
         self.generator = generator if generator is not None else fadsamp
         self.bypass = self.y < cfg.y_floor
         self.gauss_sub = self.y < _GAUSS_SUB_Y
@@ -206,35 +206,32 @@ class TwoDomainEvaluator:
             ) from None
 
         xq = as_real_array(xs, name="xs")
-        flat = np.atleast_1d(xq)
+        flat = xq.ravel()
 
         if self.bypass:
             w = np.asarray(self.generator(flat + 1j * self.y))
         else:
-            w = np.empty(flat.shape, dtype=np.complex128)
             internal = np.hypot(flat, self.y) <= self.config.radius
-            if internal.any():
-                xi = flat[internal]
-                wi = eval_spline(self.spline, xi)
-                if self.gauss_sub:
-                    # add exp(-x**2) back in place, through one temporary
-                    gauss = np.square(xi)
-                    np.exp(np.negative(gauss, out=gauss), out=gauss)
-                    np.add(wi.real, gauss, out=wi.real)
-                w[internal] = wi
-            external = ~internal
-            if external.any():
-                w[external] = w_cf_external(flat[external] + 1j * self.y)
+            w = dispatch(flat, (
+                (internal, self._interior),
+                (~internal, lambda x: w_cf_external(x + 1j * self.y)),
+            ))
 
         if opt is OutputOption.REAL_PART:
-            out = np.ascontiguousarray(w.real)
+            w = np.ascontiguousarray(w.real)
         elif opt is OutputOption.IMAG_PART:
-            out = np.ascontiguousarray(w.imag)
-        else:
-            out = w
-        if np.ndim(xs) == 0:
-            return out[0].item()
-        return out.reshape(xq.shape)
+            w = np.ascontiguousarray(w.imag)
+        return restore_shape(w, xq)
+
+    def _interior(self, x):
+        """Spline values inside the disk, with exp(-x**2) added back if subtracted."""
+        w = eval_spline(self.spline, x)
+        if self.gauss_sub:
+            # add exp(-x**2) back in place, through one temporary
+            gauss = np.square(x)
+            np.exp(np.negative(gauss, out=gauss), out=gauss)
+            np.add(w.real, gauss, out=w.real)
+        return w
 
 
 def evaluate(xs, y, opt=None, config=None, generator=None):

@@ -206,13 +206,3 @@ class TestBench:
         assert len(rows) == 1
         assert rows[0][0] == "wtrap" and rows[0][2] > 0
 
-
-class TestEnvironment:
-    def test_thread_cap_env(self, monkeypatch, tmp_path):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("VOIGT_THREADS", "2")
-        main(["eval", "--algo", "fadsamp", "--y", "1",
-              "--x-range", "0:1:3", "--out", str(tmp_path / "o.csv")])
-        import os
-        assert os.environ["OMP_NUM_THREADS"] == "2"

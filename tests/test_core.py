@@ -10,14 +10,23 @@ from voigt2dom import (
     InputDomainError,
     ParameterError,
     SamplingParams,
+    TwoDomainEvaluator,
     build_sampling_coefficients,
     default_coefficients,
+    eval_spline,
+    evaluate,
     fadsamp,
+    reference_values,
     w_cf_external,
     w_continued_fraction,
     w_sampling,
     w_simple_rational,
     w_symmetrized,
+    wtrap,
+    wtrap_branches,
+    wtrap_corrected,
+    wtrap_midpoint,
+    wtrap_offset,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -285,3 +294,66 @@ class TestModuleInvariants:
         area = trapezoid(fadsamp(xs + 1j * 1.0).real, xs)
         area += 2.0 / (SQRT_PI * 200.0)
         assert abs(area - SQRT_PI) / SQRT_PI < 1e-6
+
+
+# 6 x 8 grids: the complex one reaches every fadsamp and wtrap branch, the
+# real one both sides of the two-domain seam, the knot one stays on the
+# spline's knot range
+_BASE = {
+    "z": np.linspace(-20.0, 20.0, 8) + 1j * np.geomspace(0.01, 12.0, 6)[:, None],
+    "x": np.linspace(-50.0, 50.0, 48).reshape(6, 8),
+    "knots": np.linspace(-34.0, 34.0, 48).reshape(6, 8),
+}
+_SPLINE = TwoDomainEvaluator(0.1).spline
+
+# name -> evaluator, argument grid, type of the result for a scalar argument
+_CONTRACT = {
+    "fadsamp": (fadsamp, "z", complex),
+    "w_sampling": (w_sampling, "z", complex),
+    "w_symmetrized": (w_symmetrized, "z", complex),
+    "w_continued_fraction": (w_continued_fraction, "z", complex),
+    "w_cf_external": (w_cf_external, "z", complex),
+    "w_simple_rational": (w_simple_rational, "z", complex),
+    "wtrap": (wtrap, "z", complex),
+    "wtrap_midpoint": (wtrap_midpoint, "z", complex),
+    "wtrap_corrected": (wtrap_corrected, "z", complex),
+    "wtrap_offset": (wtrap_offset, "z", complex),
+    "wtrap_branches": (wtrap_branches, "z", int),
+    "reference_values": (reference_values, "z", complex),
+    "eval_spline": (lambda x: eval_spline(_SPLINE, x), "knots", complex),
+    "evaluate_opt1": (lambda x: evaluate(x, 0.1, opt=1), "x", float),
+    "evaluate_opt2": (lambda x: evaluate(x, 0.1, opt=2), "x", float),
+    "evaluate_opt3": (lambda x: evaluate(x, 0.1, opt=3), "x", complex),
+    "evaluate_bypass_opt1": (lambda x: evaluate(x, 1e-9, opt=1), "x", float),
+    "evaluate_bypass_opt2": (lambda x: evaluate(x, 1e-9, opt=2), "x", float),
+    "evaluate_bypass_opt3": (lambda x: evaluate(x, 1e-9, opt=3), "x", complex),
+}
+
+# input name -> (argument made from the grid, the same points taken from
+# the whole-grid result)
+_SHAPES = {
+    "empty_list": (lambda g: [], lambda r: r[:0, 0]),
+    "empty_0x3": (lambda g: np.empty((0, 3), g.dtype), lambda r: r[:0, :3]),
+    "2d": (lambda g: g, lambda r: r),
+    "strided": (lambda g: g[:, ::2], lambda r: r[:, ::2]),
+    "transposed": (lambda g: g.T, lambda r: r.T),
+    "numpy_scalar": (lambda g: g[1, 2], lambda r: r[1, 2]),
+    "python_scalar": (lambda g: g[1, 2].item(), lambda r: r[1, 2]),
+}
+
+
+@pytest.mark.parametrize("shape", list(_SHAPES))
+@pytest.mark.parametrize("name", list(_CONTRACT))
+def test_shape_and_scalar_contract(name, shape):
+    """Array input keeps its shape; scalar input gives a plain Python number."""
+    fn, grid, scalar_type = _CONTRACT[name]
+    make_arg, same_points = _SHAPES[shape]
+    base = _BASE[grid]
+    arg = make_arg(base)
+    result = fn(arg)
+    if np.ndim(arg) == 0:
+        assert type(result) is scalar_type
+    else:
+        assert isinstance(result, np.ndarray)
+        assert result.shape == np.shape(arg)
+    np.testing.assert_allclose(result, same_points(fn(base)), rtol=1e-12, atol=0)
