@@ -2,8 +2,8 @@
 
 Public surface:
 
-* :func:`fadsamp` -- whole-plane evaluator (sampling expansion, symmetrized
-  variant, Laplace continued fraction);
+* :func:`fadsamp` -- upper-half-plane evaluator (sampling expansion,
+  symmetrized variant, Laplace continued fraction);
 * :func:`wtrap` -- pole-free modified-trapezoidal evaluator;
 * :func:`evaluate` / :class:`TwoDomainEvaluator` -- the adaptive two-domain
   scheme (spline-interpolated disk, continued-fraction exterior);

@@ -64,22 +64,22 @@ def _algo_callable(name, y, config):
     raise VoigtError(f"unknown algorithm {name!r}")
 
 
-def _parse_triplet(text, what, log=False):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"{what} must be A:B:N, got {text!r}")
+def _parse_triplet(text, log=False):
+    """'A:B:N' -> N points from A to B, linearly or (``log``) geometrically spaced."""
     try:
-        a, b = float(parts[0]), float(parts[1])
-        n = int(parts[2])
+        a, b, n = text.split(":")
+        a, b, n = float(a), float(b), int(n)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{what} must be A:B:N, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"must be A:B:N, got {text!r}") from None
     if n < 1:
-        raise argparse.ArgumentTypeError(f"{what}: N must be >= 1")
-    if log:
-        if a <= 0 or b <= 0:
-            raise argparse.ArgumentTypeError(f"{what}: log spacing needs positive bounds")
-        return np.geomspace(a, b, n)
-    return np.linspace(a, b, n)
+        raise argparse.ArgumentTypeError("N must be >= 1")
+    if log and (a <= 0 or b <= 0):
+        raise argparse.ArgumentTypeError("log spacing needs positive bounds")
+    return np.geomspace(a, b, n) if log else np.linspace(a, b, n)
+
+
+def _parse_log_triplet(text):
+    return _parse_triplet(text, log=True)
 
 
 def _read_x_csv(path):
@@ -106,20 +106,10 @@ def _write_csv(path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
-def _parse_or_usage(parser, text, what, log=False):
-    try:
-        return _parse_triplet(text, what, log=log)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))
-
-
 def cmd_eval(args, parser):
     if (args.x_range is None) == (args.input is None):
         parser.error("eval needs exactly one of --x-range or --input")
-    if args.x_range:
-        xs = _parse_or_usage(parser, args.x_range, "--x-range")
-    else:
-        xs = _read_x_csv(args.input)
+    xs = args.x_range if args.x_range is not None else _read_x_csv(args.input)
 
     config = TwoDomainConfig(density=args.density)
     if args.algo == "twodom" and args.opt is not None:
@@ -159,8 +149,7 @@ def part_error(values, reference, part, metric):
 
 
 def cmd_errmap(args, parser):
-    xs = _parse_or_usage(parser, args.x_range, "--x-range")
-    ys = _parse_or_usage(parser, args.y_range, "--y-range", log=True)
+    xs, ys = args.x_range, args.y_range
     config = TwoDomainConfig(density=args.density)
 
     rows = []
@@ -251,7 +240,8 @@ def build_parser():
     p_eval = sub.add_parser("eval", help="evaluate an algorithm on a set of abscissas")
     p_eval.add_argument("--algo", required=True, choices=_ALGORITHMS)
     p_eval.add_argument("--y", type=float, required=True)
-    p_eval.add_argument("--x-range", metavar="A:B:N", help="linear abscissa grid")
+    p_eval.add_argument("--x-range", type=_parse_triplet, metavar="A:B:N",
+                        help="linear abscissa grid")
     p_eval.add_argument("--input", metavar="CSV", help="read abscissas from a CSV first column")
     p_eval.add_argument("--part", choices=("re", "im", "both"), default="both")
     p_eval.add_argument("--out", required=True)
@@ -261,8 +251,9 @@ def build_parser():
 
     p_map = sub.add_parser("errmap", help="error map against the reference oracle")
     p_map.add_argument("--algo", required=True, choices=_ALGORITHMS)
-    p_map.add_argument("--x-range", required=True, metavar="A:B:N")
-    p_map.add_argument("--y-range", required=True, metavar="A:B:N", help="log-spaced")
+    p_map.add_argument("--x-range", required=True, type=_parse_triplet, metavar="A:B:N")
+    p_map.add_argument("--y-range", required=True, type=_parse_log_triplet,
+                       metavar="A:B:N", help="log-spaced")
     p_map.add_argument("--metric", choices=("abs", "rel"), default="rel")
     p_map.add_argument("--part", choices=("re", "im"), default="re")
     p_map.add_argument("--out", required=True)
@@ -307,10 +298,7 @@ def main(argv=None):
     args = parser.parse_args(_glue_range_values(list(argv)))
     try:
         return args.func(args, parser)
-    except VoigtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (VoigtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,7 +4,7 @@ Implements the building blocks used throughout the library: a rational
 expansion obtained by Fourier sampling of the Gaussian with a pole-lifting
 shift, its symmetrized variant that stays accurate for Im(z) -> 0+, Laplace
 continued fractions for large ``|z|``, and the three-branch dispatcher
-``fadsamp`` that combines them over the whole complex plane.
+``fadsamp`` that combines them over the closed upper half-plane.
 
 All evaluators accept a complex scalar or any array of complex values and
 map element-wise.  For Voigt semantics (``K = Re w``, ``L = Im w``) the
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import as_complex_array, dispatch, restore_shape
-from .exceptions import ParameterError
+from .exceptions import InputDomainError, ParameterError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -223,7 +223,7 @@ def _fold(z, depth):
 
 
 def fadsamp(z, coeffs=None):
-    """Whole-plane Faddeeva evaluator combining three approximations.
+    """Faddeeva evaluator for ``Im z >= 0`` combining three approximations.
 
     Branch selection per element:
 
@@ -234,7 +234,8 @@ def fadsamp(z, coeffs=None):
     Parameters
     ----------
     z : complex scalar or array_like
-        Finite evaluation points; NaN/Inf raise :class:`InputDomainError`.
+        Finite evaluation points with ``Im z >= 0``; NaN/Inf or a negative
+        imaginary part raise :class:`InputDomainError`.
     coeffs : SamplingCoefficients, optional
         Shared tables; defaults to the module-level tables.
 
@@ -245,6 +246,8 @@ def fadsamp(z, coeffs=None):
     co = coeffs if coeffs is not None else _DEFAULT_COEFFS
     zz = as_complex_array(z)
     flat = zz.ravel()
+    if np.any(flat.imag < 0):
+        raise InputDomainError("fadsamp requires Im z >= 0")
 
     inner = np.abs(flat) <= 8.0
     use_sampling = inner & (flat.imag > 0.05 * flat.real)

@@ -14,6 +14,7 @@ Their mutual agreement on the overlap rings certifies the accuracy
 estimate attached to each result.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,9 +129,6 @@ def w_reference(z):
     return OracleResult(value, _calibration()[region], region)
 
 
-_calibration_cache = None
-
-
 def calibrate(samples=256, seed=20240214):
     """Measure inter-method agreement on the overlap rings.
 
@@ -163,8 +161,6 @@ def calibrate(samples=256, seed=20240214):
     }
 
 
+@functools.cache
 def _calibration():
-    global _calibration_cache
-    if _calibration_cache is None:
-        _calibration_cache = calibrate()
-    return _calibration_cache
+    return calibrate()

@@ -67,25 +67,20 @@ def build_spline(knots, values):
     slope = np.diff(y) / h
     rhs = 6.0 * np.diff(slope)            # one row per interior knot
 
-    # tridiagonal system for the interior moments sigma_1 .. sigma_{n-2};
-    # the not-a-knot conditions eliminate sigma_0 and sigma_{n-1}
-    main = 2.0 * (h[:-1] + h[1:])
-    lower = np.zeros(n - 2)
-    upper = np.zeros(n - 2)
-    lower[1:] = h[1:-1]
-    upper[:-1] = h[1:-1]
+    # tridiagonal system for the interior moments sigma_1 .. sigma_{n-2},
+    # in banded storage (rows: upper, main, lower diagonal); the not-a-knot
+    # conditions eliminate sigma_0 and sigma_{n-1}
+    band = np.zeros((3, n - 2))
+    band[0, 1:] = h[1:-1]
+    band[1] = 2.0 * (h[:-1] + h[1:])
+    band[2, :-1] = h[1:-1]
 
     r0 = h[0] / h[1]
-    main[0] += h[0] * (1.0 + r0)
-    upper[0] = h[1] - h[0] * r0
+    band[1, 0] += h[0] * (1.0 + r0)
+    band[0, 1] = h[1] - h[0] * r0
     r1 = h[-1] / h[-2]
-    main[-1] += h[-1] * (1.0 + r1)
-    lower[-1] = h[-2] - h[-1] * r1
-
-    band = np.zeros((3, n - 2))
-    band[0, 1:] = upper[:-1]
-    band[1, :] = main
-    band[2, :-1] = lower[1:]
+    band[1, -1] += h[-1] * (1.0 + r1)
+    band[2, -2] = h[-2] - h[-1] * r1
     interior = solve_banded((1, 1), band, rhs)
 
     sigma = np.empty(n, dtype=np.complex128)
@@ -110,22 +105,20 @@ def eval_spline(spline, x):
 
     Queries may come in any order; each one binary-searches its interval
     independently.  A query equal to a knot returns the interpolated value
-    exactly (to rounding).  Out-of-range queries raise
+    exactly (to rounding).  Out-of-range and NaN queries raise
     :class:`ExtrapolationError`.
     """
     xq = np.asarray(x, dtype=np.float64)
     flat = xq.ravel()
     k = spline.knots
-    if flat.size:
-        if not np.all(np.isfinite(flat)):
-            raise ExtrapolationError("query points must be finite")
-        if flat.min() < k[0] or flat.max() > k[-1]:
-            raise ExtrapolationError(
-                f"query outside knot range [{k[0]!r}, {k[-1]!r}]"
-            )
+    # a NaN query fails the comparison too
+    if flat.size and not (k[0] <= flat.min() and flat.max() <= k[-1]):
+        raise ExtrapolationError(
+            f"queries must lie in the knot range [{k[0]!r}, {k[-1]!r}]"
+        )
 
-    idx = np.searchsorted(k, flat, side="right") - 1
-    np.clip(idx, 0, k.size - 2, out=idx)
+    # interval index 0 .. n-2; the right endpoint falls in the last interval
+    idx = np.searchsorted(k[1:-1], flat, side="right")
     d = flat - k[idx]
     a, b, c, e = spline.coeffs
     out = ((e[idx] * d + c[idx]) * d + b[idx]) * d + a[idx]

@@ -4,9 +4,11 @@ The complex plane is split at ``|x + iy| = r`` (default r = 35).  Inside the
 disk the function is interpolated by a complex cubic spline through node
 values on a y-dependent logarithmic grid whose point count grows as y
 shrinks, ``N_gp = 1/sqrt(y) + delta``; outside, a short 4-level continued
-fraction is already accurate to machine precision.  Very small y
-(below 1e-8) bypasses interpolation entirely and evaluates the generator
-directly.
+fraction is already accurate to machine precision.  The node generator is
+called on the grid's non-negative half only: the grid is odd-symmetric and
+``w(-x + iy) = conj w(x + iy)``, so the negative half is its conjugate
+mirror.  Very small y (below 1e-8) bypasses interpolation entirely and
+evaluates the generator directly.
 
 For y below 0.25 the spline holds ``w(x + iy) - exp(-x**2)`` rather than
 ``w`` itself, and the Gaussian is added back to the real part at call time.
@@ -166,7 +168,9 @@ class TwoDomainEvaluator:
     config : TwoDomainConfig, optional
     generator : callable, optional
         Evaluator supplying node values (and the small-y bypass); must map a
-        complex ndarray to a complex ndarray.  Defaults to
+        complex ndarray to a complex ndarray.  It is called once per build,
+        on the grid's non-negative half; the negative half takes the
+        conjugate mirror of those values.  Defaults to
         :func:`voigt2dom.core.fadsamp`.
     """
 
@@ -183,11 +187,15 @@ class TwoDomainEvaluator:
             self.grid = None
             self.spline = None
         else:
-            self.grid = build_grid(self.y, cfg)
-            nodes = np.asarray(self.generator(self.grid + 1j * self.y))
+            grid = build_grid(self.y, cfg)
+            g = grid[grid.size // 2:]
+            half = np.asarray(self.generator(g + 1j * self.y))
             if self.gauss_sub:
-                nodes = nodes - np.exp(-self.grid * self.grid)
-            self.spline = build_spline(self.grid, nodes)
+                half = half - np.exp(-g * g)
+            # the grid is odd-symmetric and w(-x + iy) = conj w(x + iy)
+            nodes = np.concatenate([np.conj(half[::-1]), half])
+            self.spline = build_spline(grid, nodes)
+            self.grid = self.spline.knots
 
     def __call__(self, xs, opt=None):
         """Evaluate at abscissas ``xs``; see :func:`evaluate`."""
@@ -214,7 +222,7 @@ class TwoDomainEvaluator:
             internal = np.hypot(flat, self.y) <= self.config.radius
             w = dispatch(flat, (
                 (internal, self._interior),
-                (~internal, lambda x: w_cf_external(x + 1j * self.y)),
+                (~internal, self._exterior),
             ))
 
         if opt is OutputOption.REAL_PART:
@@ -232,6 +240,14 @@ class TwoDomainEvaluator:
             np.exp(np.negative(gauss, out=gauss), out=gauss)
             np.add(w.real, gauss, out=w.real)
         return w
+
+    def _exterior(self, x):
+        """Continued-fraction values outside the disk."""
+        z = x + 1j * self.y
+        # drop the gathered abscissas before the fold allocates its buffers:
+        # on CPython >= 3.11 this frame holds the last reference to them
+        del x
+        return w_cf_external(z)
 
 
 def evaluate(xs, y, opt=None, config=None, generator=None):

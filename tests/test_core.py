@@ -226,6 +226,14 @@ class TestFadsamp:
         with pytest.raises(InputDomainError):
             fadsamp(np.array([1 + 1j, np.inf + 0j]))
 
+    def test_rejects_lower_half_plane(self):
+        with pytest.raises(InputDomainError):
+            fadsamp(1 - 1j)
+        with pytest.raises(InputDomainError):
+            fadsamp(np.array([1 + 1j, 0.3 - 2j]))
+        # the real axis, signed zero included, stays in the domain
+        assert fadsamp(complex(2.0, -0.0)) == fadsamp(2.0)
+
 
 class TestSimpleRational:
     def _outside_ellipse(self, rng, n):

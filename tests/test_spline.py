@@ -82,6 +82,14 @@ class TestEvaluation:
         with pytest.raises(ExtrapolationError):
             eval_spline(s, [np.nan])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_among_valid_queries_rejected(self, bad):
+        # one range check covers non-finite queries: NaN propagates through
+        # min/max and fails the comparison, +-inf lie outside the knots
+        s = build_spline([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 0.5, 1.5])
+        with pytest.raises(ExtrapolationError):
+            eval_spline(s, [0.5, bad, 2.5])
+
     def test_unsorted_queries(self, rng):
         knots = np.linspace(0, 10, 40)
         values = np.cos(knots) + 1j * np.sin(knots)

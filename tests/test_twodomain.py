@@ -212,6 +212,19 @@ class TestEvaluate:
         evaluate(xs, 0.5e-8, opt=3, generator=gen)
         assert calls == [301]
 
+    def test_generator_called_once_on_non_negative_half(self):
+        calls = []
+
+        def gen(z):
+            calls.append(np.array(z))
+            return fadsamp(z)
+
+        ev = TwoDomainEvaluator(0.1, generator=gen)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], ev.grid[ev.grid.size // 2:] + 0.1j)
+        # one knot table, shared by the evaluator and its spline
+        assert ev.grid is ev.spline.knots
+
 
 class TestAccuracyInvariants:
     def test_boundary_seam(self):
@@ -235,6 +248,15 @@ class TestAccuracyInvariants:
             return max(partwise_rel(w, oracle(xs + 1j * y)))
 
         assert max_rel(1e-7) <= 10.0 * max_rel(1e-2)
+
+    @pytest.mark.parametrize("y", [1e-8, 3e-6])
+    def test_negative_x_partwise_accuracy(self, y):
+        # the criterion-2 bound on the mirror image of its probe, where the
+        # nodes must not depend on the generator's own x < 0 branch
+        xs = np.linspace(-30.0, 0.0, 3001)[:-1]
+        rel_k, rel_l = partwise_rel(evaluate(xs, y, opt=3), oracle(xs + 1j * y))
+        assert rel_k <= 1e-9
+        assert rel_l <= 1e-9
 
     def test_conjugate_symmetry(self, rng):
         xs = rng.uniform(0, 45, 1500)
