@@ -39,11 +39,20 @@ def dispatch(flat, branches):
     """Evaluate each branch on its own points; scatter the complex results back.
 
     ``branches`` holds ``(mask, fn)`` pairs whose boolean masks, shaped like
-    ``flat``, partition it.  ``fn`` maps the selected points to their values
-    and is called only for a branch that selects at least one point.  Callers
-    pass lambdas over module globals, not the functions themselves, so that
-    a module attribute rebound at run time (a profiler's wrapper) is used.
+    ``flat``, partition it.  ``fn`` maps the selected points to a new array
+    of their values and is called only for a branch that selects at least
+    one point.  Callers pass lambdas over module globals, not the functions
+    themselves, so that a module attribute rebound at run time (a profiler's
+    wrapper) is used.
+
+    When one mask selects every point of a non-empty ``flat``, that branch
+    gets ``flat`` itself, with no gather or scatter, and its result is
+    returned as complex128.  ``flat`` may then be the caller's own array, so
+    a branch must never write to its argument.
     """
+    for mask, fn in branches:
+        if flat.size and mask.all():
+            return np.asarray(fn(flat), dtype=np.complex128)
     out = np.empty(flat.shape, dtype=np.complex128)
     for mask, fn in branches:
         if mask.any():

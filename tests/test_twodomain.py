@@ -20,6 +20,7 @@ from voigt2dom import (
     w_cf_external,
 )
 from voigt2dom.spline import eval_spline
+from voigt2dom.twodomain import _BLOCK
 
 EPS = 2.0**-52
 
@@ -265,3 +266,37 @@ class TestAccuracyInvariants:
             w = np.asarray(ev(xs, opt=3))
             m = np.asarray(ev(-xs, opt=3))
             assert np.max(np.abs(m - np.conj(w)) / np.abs(w)) <= 1e-13
+
+
+class TestBlocking:
+    @pytest.mark.parametrize("y", [1e-3, 0.3, 10.0])
+    def test_blocks_do_not_change_values(self, rng, y):
+        xs = rng.uniform(-40.0, 40.0, 3 * _BLOCK + 17)
+        ev = TwoDomainEvaluator(y)
+        w = ev(xs, opt=3)
+        pieces = np.concatenate([ev(c, opt=3) for c in np.array_split(xs, 5)])
+        assert np.array_equal(w, pieces)
+        p = rng.permutation(xs.size)
+        assert np.array_equal(ev(xs[p], opt=3), w[p])
+
+    @pytest.mark.parametrize("y", [0.1, 1.0, 20.0])
+    def test_edge_is_the_last_interior_abscissa(self, y):
+        ev = TwoDomainEvaluator(y)
+        assert ev.edge == np.sqrt((35.0 - y) * (35.0 + y))
+        inside = np.array([-ev.edge, ev.edge])
+        assert np.array_equal(ev(inside, opt=3), eval_spline(ev.spline, inside))
+        outside = np.nextafter(inside, [-np.inf, np.inf])
+        assert np.array_equal(ev(outside, opt=3), w_cf_external(outside + 1j * y))
+
+    def test_origin_is_interior_at_y_equal_radius(self):
+        ev = TwoDomainEvaluator(35.0)
+        assert ev.edge == 0.0
+        assert ev(0.0, opt=3) == eval_spline(ev.spline, 0.0)
+        tiny = np.array([-5e-324, 5e-324])
+        assert np.array_equal(ev(tiny, opt=3), w_cf_external(tiny + 35j))
+
+    def test_beyond_radius_every_point_is_exterior(self):
+        ev = TwoDomainEvaluator(50.0)
+        assert ev.edge == -1.0
+        xs = np.array([0.0, -0.0, 1e-300, 3.0])
+        assert np.array_equal(ev(xs, opt=3), w_cf_external(xs + 50j))
