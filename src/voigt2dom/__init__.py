@@ -6,11 +6,11 @@ Public surface:
   symmetrized variant, Laplace continued fraction);
 * :func:`wtrap` -- pole-free modified-trapezoidal evaluator;
 * :func:`evaluate` / :class:`TwoDomainEvaluator` -- the adaptive two-domain
-  scheme (spline-interpolated disk, continued-fraction exterior);
+  scheme (cubic Hermite table inside a disk, continued-fraction exterior);
 * :func:`w_reference` -- independent high-accuracy reference for error
   analysis;
 * :func:`build_spline` / :func:`eval_spline` -- the underlying complex
-  not-a-knot cubic spline.
+  piecewise cubic: Hermite with given knot slopes, not-a-knot spline without.
 
 The ``voigt2dom`` console script exposes evaluation, error maps and
 benchmarks; see the README.

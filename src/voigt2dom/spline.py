@@ -1,10 +1,12 @@
-"""Not-a-knot cubic spline for complex-valued data on strictly increasing knots.
+"""Piecewise cubic for complex-valued data on strictly increasing knots.
 
-Construction assembles the classical second-derivative (moment) system, with
-the not-a-knot end rows folded into the first and last interior equations so
-the whole solve stays tridiagonal, O(n).  Complex data is handled by running
-the real elimination on a complex right-hand side, which is identical to
-splining the real and imaginary parts separately on the shared knots.
+Every table is in cubic Hermite form: each interval's cubic is fixed by the
+values and slopes at its two end knots.  Given the slopes, construction is
+one O(n) pass with no solve.  Otherwise the not-a-knot spline's slopes come
+from the classical second-derivative (moment) system, whose not-a-knot end
+rows fold into the first and last interior equations so the solve stays
+tridiagonal, O(n).  A complex right-hand side splines the real and imaginary
+parts together on the shared knots.
 """
 
 from dataclasses import dataclass
@@ -33,8 +35,9 @@ class CubicSpline:
     right_value: complex
 
 
-def build_spline(knots, values):
-    """Construct the not-a-knot cubic spline through (knots, values).
+def build_spline(knots, values, slopes=None):
+    """Construct the cubic Hermite interpolant through (knots, values, slopes),
+    or the not-a-knot cubic spline through (knots, values) without ``slopes``.
 
     Parameters
     ----------
@@ -42,6 +45,8 @@ def build_spline(knots, values):
         Strictly increasing, at least 4 entries.
     values : array_like of complex
         Same length as ``knots``.
+    slopes : array_like of complex, optional
+        First derivative at every knot, same length as ``knots``.
 
     Returns
     -------
@@ -56,16 +61,37 @@ def build_spline(knots, values):
             f"length mismatch: {x.size} knots vs {y.size} values"
         )
     if x.size < 4:
-        raise SplineConstructionError("not-a-knot spline needs at least 4 points")
+        raise SplineConstructionError("a spline needs at least 4 knots")
     if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
         raise SplineConstructionError("knots and values must be finite")
     h = np.diff(x)
     if np.any(h <= 0):
         raise SplineConstructionError("knots must be strictly increasing")
 
-    n = x.size
-    slope = np.diff(y) / h
-    rhs = 6.0 * np.diff(slope)            # one row per interior knot
+    delta = np.diff(y) / h
+    if slopes is None:
+        m = _not_a_knot_slopes(h, delta)
+    else:
+        m = np.asarray(slopes, dtype=np.complex128)
+        if m.shape != y.shape or not np.all(np.isfinite(m)):
+            raise SplineConstructionError("slopes must be finite, one per knot")
+
+    coeffs = np.empty((4, x.size - 1), dtype=np.complex128)
+    coeffs[0] = y[:-1]
+    coeffs[1] = m[:-1]
+    coeffs[2] = (3.0 * delta - 2.0 * m[:-1] - m[1:]) / h
+    coeffs[3] = (m[:-1] + m[1:] - 2.0 * delta) / (h * h)
+
+    xs = x.copy()
+    xs.flags.writeable = False
+    coeffs.flags.writeable = False
+    return CubicSpline(xs, coeffs, complex(y[-1]))
+
+
+def _not_a_knot_slopes(h, delta):
+    """Not-a-knot spline slopes from widths ``h`` and divided differences ``delta``."""
+    n = h.size + 1
+    rhs = 6.0 * np.diff(delta)            # one row per interior knot
 
     # tridiagonal system for the interior moments sigma_1 .. sigma_{n-2},
     # in banded storage (rows: upper, main, lower diagonal); the not-a-knot
@@ -88,16 +114,10 @@ def build_spline(knots, values):
     sigma[0] = interior[0] * (1.0 + r0) - interior[1] * r0
     sigma[-1] = interior[-1] * (1.0 + r1) - interior[-2] * r1
 
-    coeffs = np.empty((4, n - 1), dtype=np.complex128)
-    coeffs[0] = y[:-1]
-    coeffs[1] = slope - h * (2.0 * sigma[:-1] + sigma[1:]) / 6.0
-    coeffs[2] = sigma[:-1] / 2.0
-    coeffs[3] = (sigma[1:] - sigma[:-1]) / (6.0 * h)
-
-    xs = x.copy()
-    xs.flags.writeable = False
-    coeffs.flags.writeable = False
-    return CubicSpline(xs, coeffs, complex(y[-1]))
+    m = np.empty(n, dtype=np.complex128)
+    m[:-1] = delta - h * (2.0 * sigma[:-1] + sigma[1:]) / 6.0
+    m[-1] = delta[-1] + h[-1] * (sigma[-2] + 2.0 * sigma[-1]) / 6.0
+    return m
 
 
 def eval_spline(spline, x):

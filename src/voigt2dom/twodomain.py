@@ -1,23 +1,24 @@
 """Adaptive two-domain Faddeeva evaluator.
 
 The complex plane is split at ``|x + iy| = r`` (default r = 35).  Inside the
-disk the function is interpolated by a complex cubic spline through node
-values on a y-dependent logarithmic grid whose point count grows as y
+disk the function is interpolated by a complex cubic Hermite table through
+node values on a y-dependent logarithmic grid whose point count grows as y
 shrinks, ``N_gp = 1/sqrt(y) + delta``; outside, a short 4-level continued
-fraction is already accurate to machine precision.  The node generator is
-called on the grid's non-negative half only: the grid is odd-symmetric and
-``w(-x + iy) = conj w(x + iy)``, so the negative half is its conjugate
-mirror.  Very small y (below 1e-8) bypasses interpolation entirely and
-evaluates the generator directly.
+fraction is already accurate to machine precision.  Each knot's slope is
+``w'(z) = -2z w(z) + 2i/sqrt(pi)`` on its node value, so the table needs no
+solve.  The node generator is called on the grid's non-negative half only:
+the grid is odd-symmetric and ``w(-x + iy) = conj w(x + iy)``, so the
+negative half is its conjugate mirror.  Very small y (below 1e-8) bypasses
+interpolation entirely and evaluates the generator directly.
 
-For y below 0.25 the spline holds ``w(x + iy) - exp(-x**2)`` rather than
+For y below 0.25 the table holds ``w(x + iy) - exp(-x**2)`` rather than
 ``w`` itself, and the Gaussian is added back to the real part at call time.
 There ``Re w`` is close to ``exp(-x**2)``, whose interpolation error would
 otherwise be large relative to the small real part near x ~ 4.  The
 subtracted term underflows to 0 well inside the disk (past |x| ~ 27), so
-the spline is identical to ``w`` near the seam.
+the table is identical to ``w`` near the seam.
 
-``x`` is an array, ``y`` a scalar: one spline serves arbitrarily many
+``x`` is an array, ``y`` a scalar: one table serves arbitrarily many
 abscissas, which is what makes the scheme fast when a single line shape is
 sampled at millions of points.
 """
@@ -162,9 +163,10 @@ class TwoDomainEvaluator:
     Useful when several batches of abscissas share one y; :func:`evaluate`
     is the one-shot convenience wrapper.
 
-    For y < 0.25, ``spline`` interpolates ``w - exp(-x**2)`` (flagged by
-    ``gauss_sub``) and calls add ``exp(-x**2)`` back to the real part; near
-    the ``|z| = radius`` seam that is identical to ``w``.
+    ``spline`` is the cubic Hermite table on ``grid``, with knot slopes from
+    ``w'(z) = -2z w(z) + 2i/sqrt(pi)``.  For y < 0.25 it interpolates
+    ``w - exp(-x**2)`` (flagged by ``gauss_sub``) and calls add ``exp(-x**2)``
+    back to the real part; near the ``|z| = radius`` seam the Gaussian is 0.
 
     ``edge = sqrt(radius**2 - y**2)`` (-1 for y > radius) is the disk test
     as one scalar: a call interpolates at ``|x| <= edge`` and takes the
@@ -177,9 +179,10 @@ class TwoDomainEvaluator:
     config : TwoDomainConfig, optional
     generator : callable, optional
         Evaluator supplying node values (and the small-y bypass); must map a
-        complex ndarray to a complex ndarray.  It is called once per build,
-        on the grid's non-negative half; the negative half takes the
-        conjugate mirror of those values.  Defaults to
+        complex ndarray to ``w`` itself, because the knot slopes are derived
+        from its values through the differential equation.  It is called
+        once per build, on the grid's non-negative half; the negative half
+        takes the conjugate mirror of those values.  Defaults to
         :func:`voigt2dom.core.fadsamp`.
     """
 
@@ -200,12 +203,19 @@ class TwoDomainEvaluator:
         else:
             grid = build_grid(self.y, cfg)
             g = grid[grid.size // 2:]
-            half = np.asarray(self.generator(g + 1j * self.y))
+            z = g + 1j * self.y
+            half = np.asarray(self.generator(z))
+            # w'(z) = -2z w(z) + 2i/sqrt(pi) (Abramowitz & Stegun 7.1.20)
+            slope = 2j / math.sqrt(math.pi) - 2.0 * z * half
             if self.gauss_sub:
-                half = half - np.exp(-g * g)
-            # the grid is odd-symmetric and w(-x + iy) = conj w(x + iy)
+                gauss = np.exp(-g * g)
+                half = half - gauss
+                slope += 2.0 * g * gauss
+            # the grid is odd-symmetric and w(-x + iy) = conj w(x + iy), so
+            # w'(-x + iy) = -conj w'(x + iy)
             nodes = np.concatenate([np.conj(half[::-1]), half])
-            self.spline = build_spline(grid, nodes)
+            slopes = np.concatenate([-np.conj(slope[::-1]), slope])
+            self.spline = build_spline(grid, nodes, slopes)
             self.grid = self.spline.knots
 
     def __call__(self, xs, opt=None):
@@ -227,17 +237,17 @@ class TwoDomainEvaluator:
         xq = as_real_array(xs, name="xs")
         flat = xq.ravel()
 
-        if self.bypass:
-            w = np.asarray(self.generator(flat + 1j * self.y))
-        else:
-            w = np.empty(flat.shape, dtype=np.complex128)
-            for s in range(0, flat.size, _BLOCK):
-                x = flat[s:s + _BLOCK]
-                internal = np.abs(x) <= self.edge
-                w[s:s + _BLOCK] = dispatch(x, (
-                    (internal, self._interior),
-                    (~internal, self._exterior),
-                ))
+        w = np.empty(flat.shape, dtype=np.complex128)
+        for s in range(0, flat.size, _BLOCK):
+            x = flat[s:s + _BLOCK]
+            if self.bypass:
+                w[s:s + _BLOCK] = self.generator(x + 1j * self.y)
+                continue
+            internal = np.abs(x) <= self.edge
+            w[s:s + _BLOCK] = dispatch(x, (
+                (internal, self._interior),
+                (~internal, self._exterior),
+            ))
 
         if opt is OutputOption.REAL_PART:
             w = np.ascontiguousarray(w.real)

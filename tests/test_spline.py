@@ -158,3 +158,59 @@ class TestSplineProperties:
         re = eval_spline(build_spline(knots, values.real.astype(complex)), xq)
         im = eval_spline(build_spline(knots, values.imag.astype(complex)), xq)
         assert np.max(np.abs(full - (re + 1j * im))) < 1e-14 * np.max(np.abs(full))
+
+
+class TestHermite:
+    @staticmethod
+    def _complex_cubic(x):
+        return (1.5 - 0.5j) * x**3 + (0.25 + 2j) * x**2 - 3j * x + (2.0 - 1j)
+
+    @staticmethod
+    def _complex_cubic_slope(x):
+        return 3 * (1.5 - 0.5j) * x**2 + 2 * (0.25 + 2j) * x - 3j
+
+    def test_exact_slopes_reproduce_complex_cubic(self, rng):
+        knots = np.sort(rng.uniform(-3, 3, 17))
+        s = build_spline(
+            knots, self._complex_cubic(knots), self._complex_cubic_slope(knots)
+        )
+        xq = rng.uniform(knots[0], knots[-1], 500)
+        exact = self._complex_cubic(xq)
+        err = np.max(np.abs(eval_spline(s, xq) - exact))
+        assert err < 1e-13 * np.max(np.abs(exact))
+
+    def test_first_coefficient_row_is_the_given_slopes(self, rng):
+        knots = np.sort(rng.uniform(-4, 4, 30))
+        values = rng.normal(size=30) + 1j * rng.normal(size=30)
+        slopes = rng.normal(size=30) + 1j * rng.normal(size=30)
+        s = build_spline(knots, values, slopes)
+        assert np.array_equal(s.coeffs[0], values[:-1])
+        assert np.array_equal(s.coeffs[1], slopes[:-1])
+
+    def test_value_and_slope_continuous_at_interior_knots(self, rng):
+        knots = np.sort(rng.uniform(-4, 4, 30))
+        values = rng.normal(size=30) + 1j * rng.normal(size=30)
+        slopes = rng.normal(size=30) + 1j * rng.normal(size=30)
+        s = build_spline(knots, values, slopes)
+        a, b, c, e = s.coeffs
+        h = np.diff(s.knots)
+        right_val = a + b * h + c * h**2 + e * h**3
+        right_der = b + 2 * c * h + 3 * e * h**2
+        # the right end of interval i meets the data at knot i + 1, which is
+        # the left end of interval i + 1
+        assert np.max(np.abs(right_val - values[1:])) < 1e-12 * np.max(np.abs(values))
+        assert np.max(np.abs(right_der - slopes[1:])) < 1e-11 * np.max(np.abs(slopes))
+
+    @pytest.mark.parametrize(
+        "slopes",
+        [
+            np.zeros(5, dtype=complex),
+            np.zeros((2, 6), dtype=complex),
+            np.array([0.0, 1.0, np.nan, 0.0, 0.0, 0.0]),
+            np.array([0.0, 1.0, 0.0, 0.0, 0.0, complex(0.0, np.inf)]),
+        ],
+    )
+    def test_bad_slopes_rejected(self, slopes):
+        knots = np.arange(6.0)
+        with pytest.raises(SplineConstructionError):
+            build_spline(knots, np.ones(6, dtype=complex), slopes)

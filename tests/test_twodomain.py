@@ -20,7 +20,7 @@ from voigt2dom import (
     w_cf_external,
 )
 from voigt2dom.spline import eval_spline
-from voigt2dom.twodomain import _BLOCK
+from voigt2dom.twodomain import _BLOCK, _GAUSS_SUB_Y
 
 EPS = 2.0**-52
 
@@ -227,6 +227,27 @@ class TestEvaluate:
         assert ev.grid is ev.spline.knots
 
 
+class TestHermiteTable:
+    @pytest.mark.parametrize("y", [1e-8, 0.1, 0.5, 10.0])
+    def test_knot_slopes_follow_the_faddeeva_ode(self, y):
+        # w'(z) = 2i/sqrt(pi) - 2z w(z), plus the slope of the subtracted
+        # Gaussian below _GAUSS_SUB_Y; the coefficient row b holds the slope
+        # at every knot but the last
+        ev = TwoDomainEvaluator(y)
+        assert ev.gauss_sub == (y < _GAUSS_SUB_Y)
+        n = ev.grid.size // 2
+        g = ev.grid[n:]
+        z = g + 1j * y
+        expect = 2j / np.sqrt(np.pi) - 2.0 * z * fadsamp(z)
+        if ev.gauss_sub:
+            expect = expect + 2.0 * g * np.exp(-g * g)
+        b = ev.spline.coeffs[1]
+        np.testing.assert_allclose(b[n:], expect[:-1], rtol=1e-12, atol=0)
+        # knot i < n is the mirror of non-negative knot 2n - 1 - i
+        mirror = -np.conj(expect[::-1])
+        np.testing.assert_allclose(b[:n], mirror, rtol=1e-12, atol=0)
+
+
 class TestAccuracyInvariants:
     def test_boundary_seam(self):
         for y in (0.1, 1.0, 10.0):
@@ -278,6 +299,19 @@ class TestBlocking:
         assert np.array_equal(w, pieces)
         p = rng.permutation(xs.size)
         assert np.array_equal(ev(xs[p], opt=3), w[p])
+
+    def test_bypass_runs_in_blocks(self, rng):
+        y = 5e-9
+        xs = rng.uniform(-40.0, 40.0, 2 * _BLOCK + 17)
+        sizes = []
+
+        def gen(z):
+            sizes.append(z.size)
+            return fadsamp(z)
+
+        w = evaluate(xs, y, opt=3, generator=gen)
+        assert np.array_equal(w, fadsamp(xs + 1j * y))
+        assert len(sizes) == 3 and max(sizes) <= _BLOCK
 
     @pytest.mark.parametrize("y", [0.1, 1.0, 20.0])
     def test_edge_is_the_last_interior_abscissa(self, y):
