@@ -38,8 +38,8 @@ class BenchSpec:
             raise VoigtError("point_count must be positive")
         if self.repeats < 1:
             raise VoigtError("repeats must be positive")
-        if not self.x_half_ranges or any(a <= 0 for a in self.x_half_ranges):
-            raise VoigtError("x_half_ranges must be positive")
+        if not self.x_half_ranges or not all(np.isfinite(a) and a > 0 for a in self.x_half_ranges):
+            raise VoigtError("x_half_ranges must be positive and finite")
         bad = [a for a in self.algorithms if a not in _ALGORITHMS]
         if bad or not self.algorithms:
             raise VoigtError(f"unknown algorithms: {bad}")

@@ -4,14 +4,14 @@ Three methods with non-overlapping error mechanisms cover the validated
 domain (upper half-plane, |z| <= 1e4):
 
 * ``|z| <= 2``   Maclaurin series ``w(z) = sum_n (iz)^n / Gamma(n/2 + 1)``,
-  accumulated in extended precision and truncated once a term drops below
-  1e-18 of the partial sum;
+  summed by Horner's rule in extended precision over a fixed 74 terms;
 * ``2 < |z| < 8``  the trapezoidal dispatcher at N = 24 (twice the
   production order, so truncation errors are uncorrelated with it);
 * ``|z| >= 8``   the Laplace continued fraction at depth 16.
 
-Their mutual agreement on the overlap rings certifies the accuracy
-estimate attached to each result.
+Each region evaluates a fixed formula, so a point's value does not depend
+on the other points of its batch.  Their mutual agreement on the overlap
+rings certifies the accuracy estimate attached to each result.
 """
 
 import functools
@@ -30,8 +30,10 @@ _TRAP24 = TrapParams(N=24)
 _SERIES_RADIUS = 2.0
 _CF_RADIUS = 8.0
 _MAX_RADIUS = 1e4
-_SERIES_NMAX = 160
-_REL_CUTOFF = 1e-18
+# terms n = 0..73: at the calibration ring's outer radius 2.1, where
+# min|w| = |w(2.1i)| = 0.245, 2.1**n / Gamma(n/2 + 1) < 1e-18 * min|w|
+# first holds at n = 73
+_SERIES_NMAX = 74
 
 # extended-precision scalars for the series (80-bit on x86-64; falls back to
 # binary64 transparently where longdouble is not wider)
@@ -73,16 +75,12 @@ class OracleResult:
 
 
 def _series_values(z):
-    """Maclaurin series in extended precision; valid for |z| <= 2."""
+    """Maclaurin series by one Horner pass in extended precision; valid for |z| <= 2.1."""
     u = 1j * z.astype(_CLD)
-    total = np.ones(z.shape, dtype=_CLD)
-    power = u.copy()
-    for n in range(1, _SERIES_NMAX):
-        term = power * _INV_GAMMA[n]
-        total += term
-        if np.all(np.abs(term) <= _REL_CUTOFF * np.abs(total)):
-            break
-        power *= u
+    total = np.full(z.shape, _INV_GAMMA[-1], dtype=_CLD)
+    for c in _INV_GAMMA[-2::-1]:
+        total *= u
+        total += c
     return total.astype(np.complex128)
 
 

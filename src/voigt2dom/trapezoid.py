@@ -155,20 +155,27 @@ def wtrap_offset(z, params=None):
     return restore_shape(out, zz)
 
 
-def _branch_masks(x, y, h):
-    """Region predicates of the dispatch, stated for x >= 0.
+def _split(z, p):
+    """Coerce ``z``, require Im z > 0 and mask each :func:`wtrap` branch.
+
+    Returns the coerced array, its flat view and the three branch masks.
 
     The midpoint rule (no residue correction) applies for y >= max(pi/h, x):
     at y = pi/h the dropped correction equals the quadrature truncation level
     exp(-pi (N+1)), so both sides of the crossover sit at the theoretical
     accuracy floor.
     """
-    b1 = y >= np.maximum(math.pi / h, x)
-    frac = x / h
+    zz = as_complex_array(z)
+    flat = zz.ravel()
+    if np.any(flat.imag <= 0):
+        raise InputDomainError("wtrap requires Im z > 0")
+    x, y = np.abs(flat.real), flat.imag
+    b1 = y >= np.maximum(math.pi / p.h, x)
+    frac = x / p.h
     frac = frac - np.floor(frac)
     b2 = ~b1 & (y < x) & (frac >= 0.25) & (frac <= 0.75)
     b3 = ~(b1 | b2)
-    return b1, b2, b3
+    return zz, flat, (b1, b2, b3)
 
 
 def wtrap(z, params=None):
@@ -176,40 +183,29 @@ def wtrap(z, params=None):
 
     Dispatch per element (with phi(t) = t - floor(t)):
 
-    * ``y >= max(pi/h, x)``                      -> :func:`wtrap_midpoint`
-    * ``y < x`` and ``1/4 <= phi(x/h) <= 3/4``   -> :func:`wtrap_offset`
-    * otherwise                                  -> :func:`wtrap_corrected`
+    * ``y >= max(pi/h, |x|)``                      -> :func:`wtrap_midpoint`
+    * ``y < |x|`` and ``1/4 <= phi(|x|/h) <= 3/4`` -> :func:`wtrap_offset`
+    * otherwise                                    -> :func:`wtrap_corrected`
 
-    Negative x is evaluated at |x| and reflected through the conjugate
-    symmetry ``w(-x + iy) = conj(w(x + iy))``, since the phi predicate is
-    meaningful for positive abscissa only.
+    The predicates use |x|, since the phi predicate is meaningful for a
+    positive abscissa only.  Every rule satisfies the conjugate symmetry
+    ``w(-x + iy) = conj(w(x + iy))`` exactly, so a point with x < 0 is
+    evaluated as it stands and gets the conjugate of its mirror's value.
     """
     p = params if params is not None else TrapParams()
-    zz = as_complex_array(z)
-    flat = zz.ravel()
-    if np.any(flat.imag <= 0):
-        raise InputDomainError("wtrap requires Im z > 0")
-
-    neg = flat.real < 0
-    zpos = np.where(neg, -np.conj(flat), flat)
-    b1, b2, b3 = _branch_masks(zpos.real, zpos.imag, p.h)
-
-    out = dispatch(zpos, (
+    zz, flat, (b1, b2, b3) = _split(z, p)
+    out = dispatch(flat, (
         (b1, lambda v: wtrap_midpoint(v, p)),
         (b2, lambda v: wtrap_offset(v, p)),
         (b3, lambda v: wtrap_corrected(v, p)),
     ))
-    out[neg] = np.conj(out[neg])
     return restore_shape(out, zz)
 
 
 def wtrap_branches(z, params=None):
     """Branch index (1, 2 or 3) that :func:`wtrap` selects for each element."""
     p = params if params is not None else TrapParams()
-    zz = as_complex_array(z)
-    flat = zz.ravel()
-    x = np.abs(flat.real)
-    b1, b2, _ = _branch_masks(x, flat.imag, p.h)
+    zz, flat, (b1, b2, _) = _split(z, p)
     out = np.full(flat.shape, 3, dtype=np.int64)
     out[b2] = 2
     out[b1] = 1

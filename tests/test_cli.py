@@ -193,6 +193,12 @@ class TestBench:
             main(["bench", "--points", "100", "--repeats", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_range_usage_error(self, bad):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--points", "10", "--repeats", "1", "--ranges", bad])
+        assert exc.value.code == 2
+
     def test_value_determinism(self):
         xs = np.linspace(-10, 10, 5000)
         a = fadsamp(xs + 1j * 1e-8)

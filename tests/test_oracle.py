@@ -117,6 +117,14 @@ class TestDomain:
         mirrored = reference_values(-np.conj(z))
         assert np.max(np.abs(mirrored - np.conj(ref)) / np.abs(ref)) <= 1e-14
 
+    def test_values_do_not_depend_on_the_batch(self):
+        q = 0.014443963842961871 + 1.2542333242402337j
+        assert reference_values([q, 1.999j])[0] == reference_values(q)
+        rng = np.random.default_rng(2209)
+        r = 2 * np.sqrt(rng.uniform(0, 1, 3000))
+        z = r * np.exp(1j * rng.uniform(1e-3, np.pi - 1e-3, 3000))
+        assert np.array_equal(reference_values(z), [reference_values(v) for v in z])
+
     def test_vectorized_matches_scalar(self):
         zs = np.array([0.5 + 0.5j, 3 + 1j, 12 + 0.1j])
         vec = reference_values(zs)

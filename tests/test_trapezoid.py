@@ -116,10 +116,11 @@ class TestDispatch:
         assert worst < 1e-14
 
     def test_rejects_lower_half_plane(self):
-        with pytest.raises(InputDomainError):
-            wtrap(1 - 1j)
-        with pytest.raises(InputDomainError):
-            wtrap(np.array([1 + 1j, 2 + 0j]))
+        for fn in (wtrap, wtrap_branches):
+            with pytest.raises(InputDomainError):
+                fn(1 - 1j)
+            with pytest.raises(InputDomainError):
+                fn(np.array([1 + 1j, 2 + 0j]))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InputDomainError):
@@ -147,6 +148,17 @@ class TestInvariants:
         z = x + 1j * y
         ref = wtrap(z)
         assert np.max(np.abs(wtrap(-np.conj(z)) - np.conj(ref)) / np.abs(ref)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [11, 24])
+    def test_conjugate_symmetry_is_exact(self, n):
+        # wtrap evaluates x < 0 without folding, which relies on every rule
+        # giving w(-x + iy) = conj(w(x + iy)) bit for bit
+        p = TrapParams(N=n)
+        rng = np.random.default_rng(1101)
+        z = np.concatenate([rng.uniform(0, 40, 20_000), [0.0, -0.0, -0.0]]).astype(complex)
+        z.imag = np.concatenate([10 ** rng.uniform(-8, 1.5, 20_000), [0.5, 0.5, 20.0]])
+        assert set(np.unique(wtrap_branches(z, p))) == {1, 2, 3}
+        assert np.array_equal(wtrap(-np.conj(z), p), np.conj(wtrap(z, p)))
 
     def test_agreement_with_fadsamp(self):
         xs = np.linspace(0, 50, 500)
