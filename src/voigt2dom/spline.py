@@ -3,16 +3,14 @@
 Every table is in cubic Hermite form: each interval's cubic is fixed by the
 values and slopes at its two end knots.  Given the slopes, construction is
 one O(n) pass with no solve.  Otherwise the not-a-knot spline's slopes come
-from the classical second-derivative (moment) system, whose not-a-knot end
-rows fold into the first and last interior equations so the solve stays
-tridiagonal, O(n).  A complex right-hand side splines the real and imaginary
-parts together on the shared knots.
+from one tridiagonal O(n) system in the slopes themselves, the only place
+the package loads scipy.  A complex right-hand side splines the real and
+imaginary parts together on the shared knots.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from ._common import restore_shape
 from .exceptions import ExtrapolationError, SplineConstructionError
@@ -89,35 +87,28 @@ def build_spline(knots, values, slopes=None):
 
 
 def _not_a_knot_slopes(h, delta):
-    """Not-a-knot spline slopes from widths ``h`` and divided differences ``delta``."""
+    """Not-a-knot spline slopes from widths ``h`` and divided differences ``delta``.
+
+    One tridiagonal system in the slopes (de Boor 1978, ch. IV): the interior
+    rows make the second derivative continuous at each interior knot, the end
+    rows the third derivative at the second and the second-to-last knot.
+    """
+    from scipy.linalg import solve_banded   # here, so no other path loads scipy
+
     n = h.size + 1
-    rhs = 6.0 * np.diff(delta)            # one row per interior knot
+    band = np.zeros((3, n))                 # rows: upper, main, lower diagonal
+    band[0, 2:] = h[:-1]
+    band[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
+    band[2, :-2] = h[1:]
+    rhs = np.empty(n, dtype=np.complex128)
+    rhs[1:-1] = 3.0 * (h[1:] * delta[:-1] + h[:-1] * delta[1:])
 
-    # tridiagonal system for the interior moments sigma_1 .. sigma_{n-2},
-    # in banded storage (rows: upper, main, lower diagonal); the not-a-knot
-    # conditions eliminate sigma_0 and sigma_{n-1}
-    band = np.zeros((3, n - 2))
-    band[0, 1:] = h[1:-1]
-    band[1] = 2.0 * (h[:-1] + h[1:])
-    band[2, :-1] = h[1:-1]
-
-    r0 = h[0] / h[1]
-    band[1, 0] += h[0] * (1.0 + r0)
-    band[0, 1] = h[1] - h[0] * r0
-    r1 = h[-1] / h[-2]
-    band[1, -1] += h[-1] * (1.0 + r1)
-    band[2, -2] = h[-2] - h[-1] * r1
-    interior = solve_banded((1, 1), band, rhs)
-
-    sigma = np.empty(n, dtype=np.complex128)
-    sigma[1:-1] = interior
-    sigma[0] = interior[0] * (1.0 + r0) - interior[1] * r0
-    sigma[-1] = interior[-1] * (1.0 + r1) - interior[-2] * r1
-
-    m = np.empty(n, dtype=np.complex128)
-    m[:-1] = delta - h * (2.0 * sigma[:-1] + sigma[1:]) / 6.0
-    m[-1] = delta[-1] + h[-1] * (sigma[-2] + 2.0 * sigma[-1]) / 6.0
-    return m
+    d0, d1 = h[0] + h[1], h[-2] + h[-1]
+    band[1, 0], band[0, 1] = h[1], d0
+    rhs[0] = ((h[0] + 2.0 * d0) * h[1] * delta[0] + h[0] ** 2 * delta[1]) / d0
+    band[1, -1], band[2, -2] = h[-2], d1
+    rhs[-1] = (h[-1] ** 2 * delta[-2] + (2.0 * d1 + h[-1]) * h[-2] * delta[-1]) / d1
+    return solve_banded((1, 1), band, rhs)
 
 
 def eval_spline(spline, x):

@@ -33,6 +33,9 @@ _POLE_TOL = 1e-290
 # switch the residue correction to its overflow-free form beyond this
 _EXP_SWITCH = 700.0
 
+# every rule squares z, and z * z overflows past |z| = sqrt(max float) ~ 1.34e154
+_Z_MAX = 1e154
+
 
 @dataclass(frozen=True)
 class TrapParams:
@@ -156,7 +159,7 @@ def wtrap_offset(z, params=None):
 
 
 def _split(z, p):
-    """Coerce ``z``, require Im z > 0 and mask each :func:`wtrap` branch.
+    """Coerce ``z``, check its domain and mask each :func:`wtrap` branch.
 
     Returns the coerced array, its flat view and the three branch masks.
 
@@ -169,6 +172,8 @@ def _split(z, p):
     flat = zz.ravel()
     if np.any(flat.imag <= 0):
         raise InputDomainError("wtrap requires Im z > 0")
+    if np.any(np.abs(flat) > _Z_MAX):
+        raise InputDomainError(f"wtrap requires |z| <= {_Z_MAX:g}")
     x, y = np.abs(flat.real), flat.imag
     b1 = y >= np.maximum(math.pi / p.h, x)
     frac = x / p.h
@@ -179,7 +184,7 @@ def _split(z, p):
 
 
 def wtrap(z, params=None):
-    """Pole-free trapezoidal evaluator for Im z > 0.
+    """Pole-free trapezoidal evaluator for Im z > 0 and |z| <= 1e154.
 
     Dispatch per element (with phi(t) = t - floor(t)):
 

@@ -1,7 +1,13 @@
 """Tests for the complex not-a-knot cubic spline."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline as ScipyCubicSpline
 
 from voigt2dom import (
     ExtrapolationError,
@@ -158,6 +164,50 @@ class TestSplineProperties:
         re = eval_spline(build_spline(knots, values.real.astype(complex)), xq)
         im = eval_spline(build_spline(knots, values.imag.astype(complex)), xq)
         assert np.max(np.abs(full - (re + 1j * im))) < 1e-14 * np.max(np.abs(full))
+
+
+class TestReference:
+    @pytest.mark.parametrize("n", [4, 5, 7, 50, 400])
+    def test_matches_scipy_not_a_knot(self, n):
+        rng = np.random.default_rng(1000 + n)
+        knots = np.sort(rng.uniform(-5, 5, n))
+        values = rng.normal(size=n) + 1j * rng.normal(size=n)
+        ref = ScipyCubicSpline(knots, values, bc_type="not-a-knot")
+        s = build_spline(knots, values)
+        slopes = ref(knots[:-1], 1)
+        assert np.max(np.abs(s.coeffs[1] - slopes)) < 1e-12 * np.max(np.abs(slopes))
+        xq = rng.uniform(knots[0], knots[-1], 1000)
+        want = ref(xq)
+        assert np.max(np.abs(eval_spline(s, xq) - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_scipy_loads_only_for_the_not_a_knot_solve():
+    script = """
+import sys
+import numpy as np
+import voigt2dom, voigt2dom.cli
+from voigt2dom import (
+    build_spline, evaluate, fadsamp, reference_values, w_reference, wtrap,
+)
+
+xs = np.linspace(-50.0, 50.0, 2001)
+for y in (1e-9, 0.1, 50.0):
+    evaluate(xs, y, opt=3)
+z = xs + 0.5j
+fadsamp(z)
+wtrap(z)
+reference_values(z[::50])
+w_reference(3 + 2j)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+build_spline([0, 1, 2, 3], [1, 2, 3, 5])
+print("scipy.linalg" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out == ["[]", "True"]
 
 
 class TestHermite:

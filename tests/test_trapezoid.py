@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import wofz
 from scipy.stats import qmc
 
 from conftest import complex_rel, oracle
@@ -125,6 +126,21 @@ class TestDispatch:
     def test_rejects_nonfinite(self):
         with pytest.raises(InputDomainError):
             wtrap(complex("inf"))
+
+    @pytest.mark.parametrize("z", [1e155j, 1e10 + 1e300j, 1e300 + 1j])
+    def test_rejects_modulus_past_square_overflow(self, z):
+        for fn in (wtrap, wtrap_branches):
+            with pytest.raises(InputDomainError):
+                fn(z)
+            with pytest.raises(InputDomainError):
+                fn(np.array([1 + 1j, z]))
+
+    def test_accurate_on_the_domain_edge(self):
+        # a few ulp inside the circle, so rounding in exp cannot push |z| past it
+        theta = np.random.default_rng(154).uniform(0.0, math.pi, 200)
+        z = (1e154 * (1 - 1e-15)) * np.exp(1j * theta[theta > 0])
+        z = np.concatenate([z, [1e154 + 1j, -1e154 + 1e-3j, 1e154j]])
+        assert complex_rel(wtrap(z), wofz(z)) < 1e-14
 
     def test_scalar_and_shape(self):
         assert isinstance(wtrap(1 + 1j), complex)
