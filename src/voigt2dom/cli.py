@@ -20,7 +20,20 @@ from .twodomain import OutputOption, TwoDomainConfig, evaluate
 
 __all__ = ["BenchSpec", "run_benchmark", "main"]
 
-_ALGORITHMS = ("twodom", "fadsamp", "wtrap", "cf")
+# name -> whole-array evaluator f(xs, y, config) -> complex ndarray
+_ALGORITHMS = {
+    "twodom": lambda xs, y, config: evaluate(xs, y, opt=OutputOption.COMPLEX_FULL, config=config),
+    "fadsamp": lambda xs, y, config: fadsamp(xs + 1j * y),
+    "wtrap": lambda xs, y, config: wtrap(xs + 1j * y),
+    "cf": lambda xs, y, config: w_continued_fraction(xs + 1j * y, 11),
+}
+
+# eval --part -> (CSV header, the value columns after x)
+_EVAL_PARTS = {
+    "both": (("x", "re", "im"), lambda w: (w.real, w.imag)),
+    "re": (("x", "k"), lambda w: (w.real,)),
+    "im": (("x", "l"), lambda w: (w.imag,)),
+}
 
 
 @dataclass
@@ -45,23 +58,6 @@ class BenchSpec:
             raise VoigtError(f"unknown algorithms: {bad}")
         if not (np.isfinite(self.y) and self.y > 0):
             raise VoigtError("y must be positive and finite")
-
-
-def _fmt(v):
-    return format(v, ".17g")
-
-
-def _algo_callable(name, y, config):
-    """Whole-array evaluator f(xs) -> complex ndarray for a named algorithm."""
-    if name == "twodom":
-        return lambda xs: evaluate(xs, y, opt=OutputOption.COMPLEX_FULL, config=config)
-    if name == "fadsamp":
-        return lambda xs: fadsamp(xs + 1j * y)
-    if name == "wtrap":
-        return lambda xs: wtrap(xs + 1j * y)
-    if name == "cf":
-        return lambda xs: w_continued_fraction(xs + 1j * y, 11)
-    raise VoigtError(f"unknown algorithm {name!r}")
 
 
 def _parse_triplet(text, log=False):
@@ -99,16 +95,14 @@ def _read_x_csv(path):
     return np.asarray(xs, dtype=float)
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, *columns):
+    """One row per index of the equal-length float ``columns``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   header=",".join(header), comments="")
 
 
 def cmd_eval(args, parser):
-    if (args.x_range is None) == (args.input is None):
-        parser.error("eval needs exactly one of --x-range or --input")
     xs = args.x_range if args.x_range is not None else _read_x_csv(args.input)
 
     config = TwoDomainConfig(density=args.density)
@@ -119,18 +113,9 @@ def cmd_eval(args, parser):
             parser.error("--opt 2 produces the imaginary part only; use --part im")
     # opt 1 and 2 are projections of the full complex values, so the part
     # written below is the same either way
-    w = _algo_callable(args.algo, args.y, config)(xs)
-
-    if args.part == "both":
-        header = ("x", "re", "im")
-        rows = ((_fmt(x), _fmt(v.real), _fmt(v.imag)) for x, v in zip(xs, w))
-    elif args.part == "re":
-        header = ("x", "k")
-        rows = ((_fmt(x), _fmt(v.real)) for x, v in zip(xs, w))
-    else:
-        header = ("x", "l")
-        rows = ((_fmt(x), _fmt(v.imag)) for x, v in zip(xs, w))
-    _write_csv(args.out, header, rows)
+    w = _ALGORITHMS[args.algo](xs, args.y, config)
+    header, parts = _EVAL_PARTS[args.part]
+    _write_csv(args.out, header, xs, *parts(w))
     return 0
 
 
@@ -152,18 +137,14 @@ def cmd_errmap(args, parser):
     xs, ys = args.x_range, args.y_range
     config = TwoDomainConfig(density=args.density)
 
-    rows = []
-    max_err = 0.0
-    for y in ys:
-        w = _algo_callable(args.algo, y, config)(xs)
-        ref = reference_values(xs + 1j * y)
-        err = part_error(np.asarray(w), np.asarray(ref), args.part, args.metric)
-        max_err = max(max_err, float(err.max()))
-        rows.extend(
-            (_fmt(x), _fmt(y), _fmt(e)) for x, e in zip(xs, err)
-        )
-    _write_csv(args.out, ("x", "y", "err"), rows)
-    print(f"max_err={_fmt(max_err)}")
+    err = np.stack([
+        part_error(_ALGORITHMS[args.algo](xs, y, config), reference_values(xs + 1j * y),
+                   args.part, args.metric)
+        for y in ys
+    ])
+    _write_csv(args.out, ("x", "y", "err"), np.tile(xs, len(ys)), np.repeat(ys, len(xs)),
+               err.ravel())
+    print(f"max_err={float(err.max()):.17g}")
     return 0
 
 
@@ -173,27 +154,24 @@ def run_benchmark(spec, config=None):
     config = config if config is not None else TwoDomainConfig()
     results = []
     for name in spec.algorithms:
-        fn = _algo_callable(name, spec.y, config)
+        fn = _ALGORITHMS[name]
         for a in spec.x_half_ranges:
             xs = np.linspace(-a, a, spec.point_count)
             t0 = time.perf_counter()
             for _ in range(spec.repeats):
-                fn(xs)
+                fn(xs, spec.y, config)
             mean = (time.perf_counter() - t0) / spec.repeats
             results.append((name, a, mean))
     return results
 
 
 def _format_bench_table(spec, results):
-    ranges = list(spec.x_half_ranges)
-    header = ["algorithm"] + [f"x in [-{a:g}, {a:g}]" for a in ranges]
+    means = {(name, a): mean for name, a, mean in results}
+    header = ["algorithm"] + [f"x in [-{a:g}, {a:g}]" for a in spec.x_half_ranges]
     widths = [max(12, len(h) + 2) for h in header]
     lines = ["".join(h.ljust(w) for h, w in zip(header, widths))]
     for name in spec.algorithms:
-        cells = [name]
-        for a in ranges:
-            mean = next(m for n, r, m in results if n == name and r == a)
-            cells.append(f"{mean:.6f}")
+        cells = [name] + [f"{means[name, a]:.6f}" for a in spec.x_half_ranges]
         lines.append("".join(c.ljust(w) for c, w in zip(cells, widths)))
     return "\n".join(lines)
 
@@ -213,11 +191,10 @@ def cmd_bench(args, parser):
     print(f"{spec.point_count} points, {spec.repeats} repeats, y = {spec.y:g}")
     print(_format_bench_table(spec, results))
     if args.out:
-        rows = (
-            (name, _fmt(a), str(spec.point_count), str(spec.repeats), _fmt(mean))
-            for name, a, mean in results
-        )
-        _write_csv(args.out, ("algorithm", "half_range", "points", "repeats", "mean_seconds"), rows)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write("algorithm,half_range,points,repeats,mean_seconds\n")
+            for name, a, mean in results:
+                fh.write(f"{name},{a:.17g},{spec.point_count},{spec.repeats},{mean:.17g}\n")
     return 0
 
 
@@ -240,9 +217,10 @@ def build_parser():
     p_eval = sub.add_parser("eval", help="evaluate an algorithm on a set of abscissas")
     p_eval.add_argument("--algo", required=True, choices=_ALGORITHMS)
     p_eval.add_argument("--y", type=float, required=True)
-    p_eval.add_argument("--x-range", type=_parse_triplet, metavar="A:B:N",
+    source = p_eval.add_mutually_exclusive_group(required=True)
+    source.add_argument("--x-range", type=_parse_triplet, metavar="A:B:N",
                         help="linear abscissa grid")
-    p_eval.add_argument("--input", metavar="CSV", help="read abscissas from a CSV first column")
+    source.add_argument("--input", metavar="CSV", help="read abscissas from a CSV first column")
     p_eval.add_argument("--part", choices=("re", "im", "both"), default="both")
     p_eval.add_argument("--out", required=True)
     p_eval.add_argument("--density", choices=("basic", "enhanced"), default="basic")

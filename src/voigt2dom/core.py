@@ -271,6 +271,4 @@ def w_simple_rational(z):
     * ``a2 = 1/4 + y^2 + y^4``
     * ``b2 = -1 + 2 y^2``
     """
-    zz = as_complex_array(z)
-    out = (1j / SQRT_PI) / (zz - 0.5 / zz)
-    return restore_shape(out, zz)
+    return _fold(z, 1)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._common import as_complex_array, dispatch, restore_shape
 from .core import w_continued_fraction
-from .exceptions import OracleDomainError
+from .exceptions import InputDomainError, OracleDomainError
 from .trapezoid import TrapParams, wtrap
 
 __all__ = ["OracleResult", "w_reference", "reference_values", "calibrate"]
@@ -111,7 +111,10 @@ def reference_values(z):
 
 
 def w_reference(z):
-    """Reference value of w(z) with a per-region accuracy estimate.
+    """Reference value of w at one point ``z``, with a per-region accuracy estimate.
+
+    For arrays use :func:`reference_values`; an array ``z`` raises
+    :class:`InputDomainError`.
 
     Returns
     -------
@@ -120,6 +123,8 @@ def w_reference(z):
         relative error measured from inter-method agreement at calibration
         time, ``region`` the method that produced it.
     """
+    if np.ndim(z):
+        raise InputDomainError("w_reference takes one point; use reference_values for arrays")
     zc = complex(z)
     value = reference_values(zc)
     series, trap, _ = _region_masks(np.abs(zc))

@@ -108,14 +108,23 @@ def _residue_correction(zz, h, sign):
     return dispatch(zz, ((is_small, small), (~is_small, big)))
 
 
+def _as_z(z):
+    """Coerce ``z`` and reject |z| > 1e154, where ``z * z`` overflows."""
+    zz = as_complex_array(z)
+    if np.any(np.abs(zz) > _Z_MAX):
+        raise InputDomainError(f"the trapezoidal rules require |z| <= {_Z_MAX:g}")
+    return zz
+
+
 def wtrap_midpoint(z, params=None):
     """Midpoint-rule approximation ``(2 i h z / pi) sum_{k=0..N} e^{-t_k^2} / (z^2 - t_k^2)``.
 
     Intended for y >= max(pi/h, x), where the omitted residue correction is
     below the quadrature truncation level; poles at z = t_k = (k + 1/2) h.
+    Raises :class:`InputDomainError` for ``|z| > 1e154``.
     """
     p = params if params is not None else TrapParams()
-    zz = as_complex_array(z)
+    zz = _as_z(z)
     t2, wt, _, _ = _tables(p)
     out = (2j * p.h / math.pi) * zz * _pole_sum(zz * zz, t2, wt)
     return restore_shape(out, zz)
@@ -126,10 +135,11 @@ def wtrap_corrected(z, params=None):
 
     The fallback formula of the :func:`wtrap` dispatch.  On the real axis the
     correction contributes exactly ``e^{-x^2}`` to the real part, so the Voigt
-    function stays relatively accurate down to y -> 0+.
+    function stays relatively accurate down to y -> 0+.  Raises
+    :class:`InputDomainError` for ``|z| > 1e154``.
     """
     p = params if params is not None else TrapParams()
-    zz = as_complex_array(z)
+    zz = _as_z(z)
     t2, wt, _, _ = _tables(p)
     out = _residue_correction(zz, p.h, +1.0) + (2j * p.h / math.pi) * zz * _pole_sum(zz * zz, t2, wt)
     return restore_shape(out, zz)
@@ -144,9 +154,10 @@ def wtrap_offset(z, params=None):
     keeps z away from the poles at tau_k and at z = 0.  The minus sign in the
     residue factor places its poles on the integer node lattice, matching the
     rational sum (the plus sign belongs to the half-integer midpoint rules).
+    Raises :class:`InputDomainError` for ``|z| > 1e154``.
     """
     p = params if params is not None else TrapParams()
-    zz = as_complex_array(z)
+    zz = _as_z(z)
     if np.any(np.abs(zz) < _POLE_TOL):
         raise PoleProximityError("offset rule has a pole at z = 0")
     _, _, tau2, wtau = _tables(p)
@@ -168,12 +179,10 @@ def _split(z, p):
     exp(-pi (N+1)), so both sides of the crossover sit at the theoretical
     accuracy floor.
     """
-    zz = as_complex_array(z)
+    zz = _as_z(z)
     flat = zz.ravel()
     if np.any(flat.imag <= 0):
         raise InputDomainError("wtrap requires Im z > 0")
-    if np.any(np.abs(flat) > _Z_MAX):
-        raise InputDomainError(f"wtrap requires |z| <= {_Z_MAX:g}")
     x, y = np.abs(flat.real), flat.imag
     b1 = y >= np.maximum(math.pi / p.h, x)
     frac = x / p.h

@@ -255,6 +255,14 @@ class TestSimpleRational:
     def test_modest_accuracy_outside_ellipse(self):
         assert abs(w_simple_rational(30 + 1j) - W_30_1) / abs(W_30_1) < 1e-4
 
+    def test_is_the_depth_one_continued_fraction(self):
+        rng = np.random.default_rng(262)
+        z = rng.uniform(-100, 100, 6000) + 1j * rng.uniform(1e-6, 50, 6000)
+        for arg in (z, z.reshape(60, 100), complex(z[0])):
+            a, b = w_simple_rational(arg), w_continued_fraction(arg, 1)
+            assert type(a) is type(b)
+            assert np.array_equal(a, b)
+
     def test_coefficient_spot_check(self):
         a1 = 1.0 / (2 * SQRT_PI) + 1.0 / SQRT_PI
         assert a1 == pytest.approx(0.8462843753216344, rel=1e-14)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from voigt2dom import (
+    InputDomainError,
     OracleDomainError,
     TrapParams,
     calibrate,
@@ -108,6 +109,11 @@ class TestDomain:
         with pytest.raises(OracleDomainError):
             w_reference(20_000j)
         assert np.isfinite(w_reference(9_999j).value.real)
+
+    def test_array_input_is_a_typed_error(self):
+        for z in (np.array([1j, 2j]), [1j], np.array([1j])):
+            with pytest.raises(InputDomainError, match="reference_values"):
+                w_reference(z)
 
     def test_conjugate_symmetry(self, rng):
         x = rng.uniform(0.01, 50, 2000)

@@ -135,6 +135,14 @@ class TestDispatch:
             with pytest.raises(InputDomainError):
                 fn(np.array([1 + 1j, z]))
 
+    @pytest.mark.parametrize("z", [1e155j, 1e10 + 1e300j, 1e300 + 1j])
+    def test_rules_reject_modulus_past_square_overflow(self, z):
+        for fn in (wtrap_midpoint, wtrap_corrected, wtrap_offset):
+            with pytest.raises(InputDomainError):
+                fn(z)
+            with pytest.raises(InputDomainError):
+                fn(np.array([1 + 1j, z]))
+
     def test_accurate_on_the_domain_edge(self):
         # a few ulp inside the circle, so rounding in exp cannot push |z| past it
         theta = np.random.default_rng(154).uniform(0.0, math.pi, 200)
