@@ -16,90 +16,15 @@ The ``voigt2dom`` console script exposes evaluation, error maps and
 benchmarks; see the README.
 """
 
-from . import exceptions
-from .core import (
-    SamplingCoefficients,
-    SamplingParams,
-    build_sampling_coefficients,
-    default_coefficients,
-    fadsamp,
-    w_cf_external,
-    w_continued_fraction,
-    w_sampling,
-    w_simple_rational,
-    w_symmetrized,
-)
-from .exceptions import (
-    DefaultOptionNotice,
-    ExtrapolationError,
-    InputDomainError,
-    InvalidOptionError,
-    OracleDomainError,
-    ParameterError,
-    PoleProximityError,
-    SplineConstructionError,
-    VoigtError,
-)
-from .oracle import OracleResult, calibrate, reference_values, w_reference
-from .spline import CubicSpline, build_spline, eval_spline
-from .trapezoid import (
-    TrapParams,
-    wtrap,
-    wtrap_branches,
-    wtrap_corrected,
-    wtrap_midpoint,
-    wtrap_offset,
-)
-from .twodomain import (
-    OutputOption,
-    TwoDomainConfig,
-    TwoDomainEvaluator,
-    build_grid,
-    evaluate,
-    grid_count,
-)
+from . import core, exceptions, oracle, spline, trapezoid, twodomain
+from .core import *  # noqa: F401,F403 -- each module's __all__ is its public list
+from .exceptions import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .spline import *  # noqa: F401,F403
+from .trapezoid import *  # noqa: F401,F403
+from .twodomain import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SamplingParams",
-    "SamplingCoefficients",
-    "build_sampling_coefficients",
-    "default_coefficients",
-    "w_sampling",
-    "w_symmetrized",
-    "w_continued_fraction",
-    "w_cf_external",
-    "fadsamp",
-    "w_simple_rational",
-    "TrapParams",
-    "wtrap",
-    "wtrap_midpoint",
-    "wtrap_corrected",
-    "wtrap_offset",
-    "wtrap_branches",
-    "CubicSpline",
-    "build_spline",
-    "eval_spline",
-    "TwoDomainConfig",
-    "OutputOption",
-    "TwoDomainEvaluator",
-    "grid_count",
-    "build_grid",
-    "evaluate",
-    "OracleResult",
-    "w_reference",
-    "reference_values",
-    "calibrate",
-    "exceptions",
-    "VoigtError",
-    "ParameterError",
-    "InputDomainError",
-    "PoleProximityError",
-    "SplineConstructionError",
-    "ExtrapolationError",
-    "OracleDomainError",
-    "InvalidOptionError",
-    "DefaultOptionNotice",
-    "__version__",
-]
+__all__ = [n for m in (core, trapezoid, spline, twodomain, oracle) for n in m.__all__]
+__all__ += ["exceptions", *exceptions.__all__, "__version__"]

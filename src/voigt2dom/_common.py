@@ -5,12 +5,44 @@ Every evaluator coerces its input with ``as_complex_array`` or
 array with ``arr.ravel()`` and splits the points with :func:`dispatch`.
 Every result goes back through :func:`restore_shape`: an array input gives
 an array of the same shape, and a scalar input a Python ``complex``,
-``float`` or ``int``.
+``float`` or ``int``.  Every scalar parameter is checked by :func:`positive`
+and every optional parameter object by :func:`option`.
 """
+
+import math
 
 import numpy as np
 
-from .exceptions import InputDomainError
+from .exceptions import InputDomainError, ParameterError
+
+
+def positive(value, name, integer=False, error=ParameterError):
+    """Check a positive finite real (or, with ``integer``, integer) parameter.
+
+    Accepts Python and numpy real scalars and 0-d arrays; returns a ``float``
+    (an ``int`` with ``integer``).  bool, complex, str, None, arrays, NaN,
+    inf, values <= 0 and, with ``integer``, non-integers raise ``error``.
+    """
+    v = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(v, kinds) and not isinstance(v, bool):
+        try:
+            out = int(v) if integer else float(v)
+        except OverflowError:   # a Python int beyond the float range
+            out = 0
+        if 0 < out < math.inf:
+            return out
+    kind = "integer" if integer else "finite real"
+    raise error(f"{name} must be a positive {kind}, got {value!r}")
+
+
+def option(value, default, name):
+    """``default`` when ``value`` is None; otherwise ``value``, of ``default``'s type."""
+    if value is None:
+        return default
+    if isinstance(value, type(default)):
+        return value
+    raise ParameterError(f"{name} must be a {type(default).__name__}, got {value!r}")
 
 
 def as_complex_array(z, name="z"):

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._common import option, positive
 from .core import fadsamp, w_continued_fraction
-from .exceptions import VoigtError
+from .exceptions import ParameterError, VoigtError
 from .oracle import reference_values
 from .trapezoid import wtrap
 from .twodomain import OutputOption, TwoDomainConfig, evaluate
@@ -47,17 +48,15 @@ class BenchSpec:
     algorithms: tuple = ("twodom", "fadsamp", "wtrap")
 
     def __post_init__(self):
-        if self.point_count < 1:
-            raise VoigtError("point_count must be positive")
-        if self.repeats < 1:
-            raise VoigtError("repeats must be positive")
-        if not self.x_half_ranges or not all(np.isfinite(a) and a > 0 for a in self.x_half_ranges):
-            raise VoigtError("x_half_ranges must be positive and finite")
+        self.point_count = positive(self.point_count, "point_count", integer=True)
+        self.repeats = positive(self.repeats, "repeats", integer=True)
+        self.y = positive(self.y, "y")
+        if not self.x_half_ranges:
+            raise ParameterError("x_half_ranges must not be empty")
+        self.x_half_ranges = tuple(positive(a, "x_half_ranges") for a in self.x_half_ranges)
         bad = [a for a in self.algorithms if a not in _ALGORITHMS]
         if bad or not self.algorithms:
-            raise VoigtError(f"unknown algorithms: {bad}")
-        if not (np.isfinite(self.y) and self.y > 0):
-            raise VoigtError("y must be positive and finite")
+            raise ParameterError(f"unknown algorithms: {bad}")
 
 
 def _parse_triplet(text, log=False):
@@ -151,7 +150,7 @@ def cmd_errmap(args, parser):
 def run_benchmark(spec, config=None):
     """Execute the benchmark protocol; returns rows of
     (algorithm, half_range, mean_seconds)."""
-    config = config if config is not None else TwoDomainConfig()
+    config = option(config, TwoDomainConfig(), "config")
     results = []
     for name in spec.algorithms:
         fn = _ALGORITHMS[name]

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import as_complex_array, dispatch, restore_shape
-from .exceptions import InputDomainError, ParameterError
+from ._common import as_complex_array, dispatch, option, positive, restore_shape
+from .exceptions import InputDomainError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -53,16 +53,9 @@ class SamplingParams:
     varsigma: float = 2.75
 
     def __post_init__(self):
-        if not isinstance(self.M, (int, np.integer)) or self.M < 1:
-            raise ParameterError(f"M must be a positive integer, got {self.M!r}")
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
-            raise ParameterError(f"N must be a positive integer, got {self.N!r}")
-        if not (math.isfinite(self.h) and self.h > 0):
-            raise ParameterError(f"h must be positive and finite, got {self.h!r}")
-        if not (math.isfinite(self.varsigma) and self.varsigma > 0):
-            raise ParameterError(
-                f"varsigma must be positive and finite, got {self.varsigma!r}"
-            )
+        for name in ("M", "N", "h", "varsigma"):
+            value = positive(getattr(self, name), name, integer=name in ("M", "N"))
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -101,9 +94,7 @@ def build_sampling_coefficients(params=None):
     -------
     SamplingCoefficients
     """
-    p = params if params is not None else SamplingParams()
-    if not isinstance(p, SamplingParams):
-        raise ParameterError("params must be a SamplingParams instance")
+    p = option(params, SamplingParams(), "params")
 
     m = np.arange(1, p.M + 1, dtype=np.float64)
     n = np.arange(-p.N, p.N + 1, dtype=np.float64)
@@ -139,7 +130,7 @@ def w_sampling(z, coeffs=None):
     ``Omega(u) = sum_m (a_m + b_m u) / (c_m^2 - u^2)``.  The shift keeps all
     denominators bounded away from zero on the target domain.
     """
-    co = coeffs if coeffs is not None else _DEFAULT_COEFFS
+    co = option(coeffs, _DEFAULT_COEFFS, "coeffs")
     zz = as_complex_array(z)
     u = zz + 0.5j * co.params.varsigma
     u2 = u * u
@@ -164,7 +155,7 @@ def w_symmetrized(z, coeffs=None):
     (gamma_m - theta_m z^2 + z^4)``, which reproduces ``exp(-x^2)`` exactly on
     the real axis and therefore keeps the real part accurate as y -> 0+.
     """
-    co = coeffs if coeffs is not None else _DEFAULT_COEFFS
+    co = option(coeffs, _DEFAULT_COEFFS, "coeffs")
     zz = as_complex_array(z)
     z2 = zz * zz
     z4 = z2 * z2
@@ -191,9 +182,7 @@ def w_continued_fraction(z, depth=11):
     ``(i/sqrt(pi)) / (z - (1/2)/(z - 1/(z - (3/2)/(z - ... - (depth/2)/z))))``.
     Accurate for |z| > 8 at the default depth.
     """
-    if not isinstance(depth, (int, np.integer)) or depth < 1:
-        raise ParameterError(f"depth must be a positive integer, got {depth!r}")
-    return _fold(z, depth)
+    return _fold(z, positive(depth, "depth", integer=True))
 
 
 def w_cf_external(z):
@@ -243,7 +232,7 @@ def fadsamp(z, coeffs=None):
     -------
     complex scalar or ndarray matching the input shape.
     """
-    co = coeffs if coeffs is not None else _DEFAULT_COEFFS
+    co = option(coeffs, _DEFAULT_COEFFS, "coeffs")
     zz = as_complex_array(z)
     flat = zz.ravel()
     if np.any(flat.imag < 0):

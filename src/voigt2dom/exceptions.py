@@ -1,5 +1,11 @@
 """Exception types raised by the library."""
 
+__all__ = [
+    "VoigtError", "ParameterError", "InputDomainError", "PoleProximityError",
+    "SplineConstructionError", "ExtrapolationError", "OracleDomainError",
+    "InvalidOptionError", "DefaultOptionNotice",
+]
+
 
 class VoigtError(ValueError):
     """Base class for all library errors."""

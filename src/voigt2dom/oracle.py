@@ -43,21 +43,11 @@ _SQRT_PI_LD = _LD("1.77245385090551602729816748334114518280")
 
 
 def _inverse_gamma_table():
-    """1 / Gamma(n/2 + 1) for n = 0..NMAX-1, built by exact recurrences."""
+    """1 / Gamma(n/2 + 1) for n = 0..NMAX-1, from Gamma(n/2 + 1) = (n/2) Gamma(n/2)."""
     inv = np.empty(_SERIES_NMAX, dtype=_LD)
-    fact = _LD(1)                # Gamma(k + 1) for even n = 2k
-    ghalf = _SQRT_PI_LD / 2      # Gamma(k + 3/2) for odd n = 2k + 1
-    for n in range(_SERIES_NMAX):
-        if n % 2 == 0:
-            k = n // 2
-            if k > 0:
-                fact = fact * k
-            inv[n] = 1 / fact
-        else:
-            k = (n - 1) // 2
-            if k > 0:
-                ghalf = ghalf * (k + _LD(0.5))
-            inv[n] = 1 / ghalf
+    inv[0], inv[1] = 1, 2 / _SQRT_PI_LD
+    for n in range(2, _SERIES_NMAX):
+        inv[n] = inv[n - 2] * 2 / n
     inv.flags.writeable = False
     return inv
 

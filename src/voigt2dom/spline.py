@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import restore_shape
-from .exceptions import ExtrapolationError, SplineConstructionError
+from .exceptions import ExtrapolationError, ParameterError, SplineConstructionError
 
 __all__ = ["CubicSpline", "build_spline", "eval_spline"]
 
@@ -117,8 +117,11 @@ def eval_spline(spline, x):
     Queries may come in any order; each one binary-searches its interval
     independently.  A query equal to a knot returns the interpolated value
     exactly (to rounding).  Out-of-range and NaN queries raise
-    :class:`ExtrapolationError`.
+    :class:`ExtrapolationError`; a ``spline`` that is not a
+    :class:`CubicSpline` raises :class:`ParameterError`.
     """
+    if not isinstance(spline, CubicSpline):
+        raise ParameterError(f"spline must be a CubicSpline, got {spline!r}")
     xq = np.asarray(x, dtype=np.float64)
     flat = xq.ravel()
     k = spline.knots

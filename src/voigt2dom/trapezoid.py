@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._common import as_complex_array, dispatch, restore_shape
-from .exceptions import InputDomainError, ParameterError, PoleProximityError
+from ._common import as_complex_array, dispatch, option, positive, restore_shape
+from .exceptions import InputDomainError, PoleProximityError
 
 __all__ = [
     "TrapParams",
@@ -44,13 +44,14 @@ class TrapParams:
     N: int = 11
 
     def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
-            raise ParameterError(f"N must be a positive integer, got {self.N!r}")
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", positive(self.N, "N", integer=True))
 
     @property
     def h(self):
         return math.sqrt(math.pi / (self.N + 1))
+
+
+_DEFAULT_PARAMS = TrapParams()
 
 
 @lru_cache(maxsize=32)
@@ -123,7 +124,7 @@ def wtrap_midpoint(z, params=None):
     below the quadrature truncation level; poles at z = t_k = (k + 1/2) h.
     Raises :class:`InputDomainError` for ``|z| > 1e154``.
     """
-    p = params if params is not None else TrapParams()
+    p = option(params, _DEFAULT_PARAMS, "params")
     zz = _as_z(z)
     t2, wt, _, _ = _tables(p)
     out = (2j * p.h / math.pi) * zz * _pole_sum(zz * zz, t2, wt)
@@ -138,7 +139,7 @@ def wtrap_corrected(z, params=None):
     function stays relatively accurate down to y -> 0+.  Raises
     :class:`InputDomainError` for ``|z| > 1e154``.
     """
-    p = params if params is not None else TrapParams()
+    p = option(params, _DEFAULT_PARAMS, "params")
     zz = _as_z(z)
     t2, wt, _, _ = _tables(p)
     out = _residue_correction(zz, p.h, +1.0) + (2j * p.h / math.pi) * zz * _pole_sum(zz * zz, t2, wt)
@@ -156,7 +157,7 @@ def wtrap_offset(z, params=None):
     rational sum (the plus sign belongs to the half-integer midpoint rules).
     Raises :class:`InputDomainError` for ``|z| > 1e154``.
     """
-    p = params if params is not None else TrapParams()
+    p = option(params, _DEFAULT_PARAMS, "params")
     zz = _as_z(z)
     if np.any(np.abs(zz) < _POLE_TOL):
         raise PoleProximityError("offset rule has a pole at z = 0")
@@ -206,7 +207,7 @@ def wtrap(z, params=None):
     ``w(-x + iy) = conj(w(x + iy))`` exactly, so a point with x < 0 is
     evaluated as it stands and gets the conjugate of its mirror's value.
     """
-    p = params if params is not None else TrapParams()
+    p = option(params, _DEFAULT_PARAMS, "params")
     zz, flat, (b1, b2, b3) = _split(z, p)
     out = dispatch(flat, (
         (b1, lambda v: wtrap_midpoint(v, p)),
@@ -218,7 +219,7 @@ def wtrap(z, params=None):
 
 def wtrap_branches(z, params=None):
     """Branch index (1, 2 or 3) that :func:`wtrap` selects for each element."""
-    p = params if params is not None else TrapParams()
+    p = option(params, _DEFAULT_PARAMS, "params")
     zz, flat, (b1, b2, _) = _split(z, p)
     out = np.full(flat.shape, 3, dtype=np.int64)
     out[b2] = 2

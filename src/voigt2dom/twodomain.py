@@ -30,7 +30,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from ._common import as_real_array, dispatch, restore_shape
+from ._common import as_real_array, dispatch, option, positive, restore_shape
 from .core import fadsamp, w_cf_external
 from .exceptions import (
     DefaultOptionNotice,
@@ -86,9 +86,7 @@ class TwoDomainConfig:
 
     def __post_init__(self):
         for name in ("radius", "offset", "y_floor", "epsilon_anchor"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ParameterError(f"{name} must be positive and finite, got {v!r}")
+            object.__setattr__(self, name, positive(getattr(self, name), name))
         if self.density not in ("basic", "enhanced"):
             raise ParameterError(
                 f"density must be 'basic' or 'enhanced', got {self.density!r}"
@@ -109,12 +107,7 @@ _BLOCK = 1 << 16
 def _check_y(y):
     if np.ndim(y) != 0:
         raise InputDomainError("Input parameter y must be a scalar")
-    y = float(y)
-    if not math.isfinite(y):
-        raise InputDomainError("y must be finite")
-    if y <= 0:
-        raise InputDomainError(f"y must be positive, got {y!r}")
-    return y
+    return positive(y, "y", error=InputDomainError)
 
 
 def grid_count(y, config=None):
@@ -125,7 +118,7 @@ def grid_count(y, config=None):
     Requires ``y >= y_floor``; smaller y must take the direct-evaluation
     bypass instead.
     """
-    cfg = config if config is not None else _DEFAULT_CONFIG
+    cfg = option(config, _DEFAULT_CONFIG, "config")
     y = _check_y(y)
     if y < cfg.y_floor:
         raise InputDomainError(
@@ -148,7 +141,7 @@ def build_grid(y, config=None):
     the origin.  Endpoints are exactly ``+-r``, the innermost nodes are
     ``+-r*eps``, and zero itself is not a node.
     """
-    cfg = config if config is not None else _DEFAULT_CONFIG
+    cfg = option(config, _DEFAULT_CONFIG, "config")
     n = grid_count(y, cfg)
     exponents = np.linspace(
         math.log10(1.0 + cfg.epsilon_anchor), math.log10(2.0), n
@@ -187,12 +180,12 @@ class TwoDomainEvaluator:
     """
 
     def __init__(self, y, config=None, generator=None):
-        cfg = config if config is not None else _DEFAULT_CONFIG
-        if not isinstance(cfg, TwoDomainConfig):
-            raise ParameterError("config must be a TwoDomainConfig instance")
+        cfg = option(config, _DEFAULT_CONFIG, "config")
         self.config = cfg
         self.y = _check_y(y)
-        self.generator = generator if generator is not None else fadsamp
+        self.generator = fadsamp if generator is None else generator
+        if not callable(self.generator):
+            raise ParameterError(f"generator must be callable, got {generator!r}")
         self.bypass = self.y < cfg.y_floor
         self.gauss_sub = self.y < _GAUSS_SUB_Y
         r, y = cfg.radius, self.y
