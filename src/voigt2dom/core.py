@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import as_complex_array, dispatch, option, positive, restore_shape
+from ._common import as_complex_array, dispatch, in_blocks, option, positive, restore_shape
 from .exceptions import InputDomainError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -234,18 +234,19 @@ def fadsamp(z, coeffs=None):
     """
     co = option(coeffs, _DEFAULT_COEFFS, "coeffs")
     zz = as_complex_array(z)
-    flat = zz.ravel()
-    if np.any(flat.imag < 0):
+    if np.any(zz.imag < 0):
         raise InputDomainError("fadsamp requires Im z >= 0")
 
-    inner = np.abs(flat) <= 8.0
-    use_sampling = inner & (flat.imag > 0.05 * flat.real)
-    out = dispatch(flat, (
-        (use_sampling, lambda v: w_sampling(v, co)),
-        (inner & ~use_sampling, lambda v: w_symmetrized(v, co)),
-        (~inner, lambda v: w_continued_fraction(v, 11)),
-    ))
-    return restore_shape(out, zz)
+    def block(flat):
+        inner = np.abs(flat) <= 8.0
+        use_sampling = inner & (flat.imag > 0.05 * flat.real)
+        return dispatch(flat, (
+            (use_sampling, lambda v: w_sampling(v, co)),
+            (inner & ~use_sampling, lambda v: w_symmetrized(v, co)),
+            (~inner, lambda v: w_continued_fraction(v, 11)),
+        ))
+
+    return restore_shape(in_blocks(zz.ravel(), block), zz)
 
 
 def w_simple_rational(z):

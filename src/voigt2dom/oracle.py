@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import as_complex_array, dispatch, restore_shape
+from ._common import as_complex_array, dispatch, in_blocks, restore_shape
 from .core import w_continued_fraction
 from .exceptions import InputDomainError, OracleDomainError
 from .trapezoid import TrapParams, wtrap
@@ -84,20 +84,22 @@ def _region_masks(r):
 def reference_values(z):
     """Vectorized reference evaluation; returns the complex values only."""
     zz = as_complex_array(z)
-    flat = zz.ravel()
-    if np.any(flat.imag <= 0):
+    if np.any(zz.imag <= 0):
         raise OracleDomainError("reference is validated for Im z > 0 only")
+    return restore_shape(in_blocks(zz.ravel(), _reference_block), zz)
+
+
+def _reference_block(flat):
+    """Reference values of one block, each point by its region's method."""
     r = np.abs(flat)
     if np.any(r > _MAX_RADIUS):
         raise OracleDomainError(f"reference is validated for |z| <= {_MAX_RADIUS:g}")
-
     series, trap, cf = _region_masks(r)
-    out = dispatch(flat, (
+    return dispatch(flat, (
         (series, _series_values),
         (trap, lambda v: wtrap(v, _TRAP24)),
         (cf, lambda v: w_continued_fraction(v, 16)),
     ))
-    return restore_shape(out, zz)
 
 
 def w_reference(z):

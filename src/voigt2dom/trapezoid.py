@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._common import as_complex_array, dispatch, option, positive, restore_shape
+from ._common import as_complex_array, dispatch, in_blocks, option, positive, restore_shape
 from .exceptions import InputDomainError, PoleProximityError
 
 __all__ = [
@@ -90,7 +90,19 @@ def _residue_correction(zz, h, sign):
     as ``2 exp(-z^2 + 2 i pi z / h) / (sign + exp(2 i pi z / h))`` whose
     numerator underflows cleanly to zero whenever y^2 - x^2 - 2 pi y / h is
     very negative (always the case under the wtrap dispatch).
+
+    Raises :class:`InputDomainError` where ``y >= pi/h`` and ``E = y^2 - x^2
+    - 2 pi y / h >= 0``.  There the term, of size ``2 e**E``, is an error
+    at least twice ``|w| <= 1`` in either rule that adds it, and
+    ``e**(-z^2)`` may overflow.
     """
+    c = 2.0 * math.pi / h
+    y = zz.imag
+    if np.any((y >= 0.5 * c) & (y * (y - c) >= zz.real * zz.real)):
+        raise InputDomainError(
+            "the residue-corrected rules have no correct digit where "
+            "y >= pi/h and y^2 - x^2 - 2 pi y / h >= 0"
+        )
     k = -2j * math.pi / h
 
     def small(v):
@@ -123,6 +135,11 @@ def wtrap_midpoint(z, params=None):
     Intended for y >= max(pi/h, x), where the omitted residue correction is
     below the quadrature truncation level; poles at z = t_k = (k + 1/2) h.
     Raises :class:`InputDomainError` for ``|z| > 1e154``.
+
+    Domain: accurate, away from the poles, where ``y >= pi/h`` or ``E = y^2
+    - x^2 - 2 pi y / h < ln 2**-53 ~ -36.7``, since below y = pi/h the
+    omitted correction has size about ``2 e**E``.  Elsewhere the value is
+    returned as computed, off by that correction.
     """
     p = option(params, _DEFAULT_PARAMS, "params")
     zz = _as_z(z)
@@ -138,6 +155,12 @@ def wtrap_corrected(z, params=None):
     correction contributes exactly ``e^{-x^2}`` to the real part, so the Voigt
     function stays relatively accurate down to y -> 0+.  Raises
     :class:`InputDomainError` for ``|z| > 1e154``.
+
+    Domain: accurate, away from the poles at z = t_k, where ``y < pi/h`` or
+    ``E = y^2 - x^2 - 2 pi y / h < ln 2**-53 ~ -36.7``.  At y >= pi/h the
+    midpoint rule alone is accurate, and the correction adds an error of
+    size ``2 e**E``: the rule returns that value for E < 0 and raises
+    :class:`InputDomainError` for E >= 0, where no digit is correct.
     """
     p = option(params, _DEFAULT_PARAMS, "params")
     zz = _as_z(z)
@@ -156,6 +179,10 @@ def wtrap_offset(z, params=None):
     residue factor places its poles on the integer node lattice, matching the
     rational sum (the plus sign belongs to the half-integer midpoint rules).
     Raises :class:`InputDomainError` for ``|z| > 1e154``.
+
+    Domain: that of :func:`wtrap_corrected`, away from the poles at z = 0
+    and z = tau_k, and with the same :class:`InputDomainError` for
+    ``y >= pi/h`` and ``E >= 0``.
     """
     p = option(params, _DEFAULT_PARAMS, "params")
     zz = _as_z(z)
@@ -170,18 +197,14 @@ def wtrap_offset(z, params=None):
     return restore_shape(out, zz)
 
 
-def _split(z, p):
-    """Coerce ``z``, check its domain and mask each :func:`wtrap` branch.
-
-    Returns the coerced array, its flat view and the three branch masks.
+def _masks(flat, p):
+    """Check the points ``flat`` and mask each :func:`wtrap` branch.
 
     The midpoint rule (no residue correction) applies for y >= max(pi/h, x):
     at y = pi/h the dropped correction equals the quadrature truncation level
     exp(-pi (N+1)), so both sides of the crossover sit at the theoretical
     accuracy floor.
     """
-    zz = _as_z(z)
-    flat = zz.ravel()
     if np.any(flat.imag <= 0):
         raise InputDomainError("wtrap requires Im z > 0")
     x, y = np.abs(flat.real), flat.imag
@@ -189,8 +212,7 @@ def _split(z, p):
     frac = x / p.h
     frac = frac - np.floor(frac)
     b2 = ~b1 & (y < x) & (frac >= 0.25) & (frac <= 0.75)
-    b3 = ~(b1 | b2)
-    return zz, flat, (b1, b2, b3)
+    return b1, b2, ~(b1 | b2)
 
 
 def wtrap(z, params=None):
@@ -206,22 +228,31 @@ def wtrap(z, params=None):
     positive abscissa only.  Every rule satisfies the conjugate symmetry
     ``w(-x + iy) = conj(w(x + iy))`` exactly, so a point with x < 0 is
     evaluated as it stands and gets the conjugate of its mirror's value.
+    Each branch keeps its points inside its rule's domain.  A point off
+    branch 1 at y >= pi/h has y < |x|, so ``y^2 - x^2 - 2 pi y / h <
+    -2 pi (N + 1)``: its residue term is below the truncation level, and
+    no branch raises.
     """
     p = option(params, _DEFAULT_PARAMS, "params")
-    zz, flat, (b1, b2, b3) = _split(z, p)
-    out = dispatch(flat, (
-        (b1, lambda v: wtrap_midpoint(v, p)),
-        (b2, lambda v: wtrap_offset(v, p)),
-        (b3, lambda v: wtrap_corrected(v, p)),
-    ))
-    return restore_shape(out, zz)
+    zz = _as_z(z)
+
+    def block(flat):
+        b1, b2, b3 = _masks(flat, p)
+        return dispatch(flat, (
+            (b1, lambda v: wtrap_midpoint(v, p)),
+            (b2, lambda v: wtrap_offset(v, p)),
+            (b3, lambda v: wtrap_corrected(v, p)),
+        ))
+
+    return restore_shape(in_blocks(zz.ravel(), block), zz)
 
 
 def wtrap_branches(z, params=None):
     """Branch index (1, 2 or 3) that :func:`wtrap` selects for each element."""
     p = option(params, _DEFAULT_PARAMS, "params")
-    zz, flat, (b1, b2, _) = _split(z, p)
-    out = np.full(flat.shape, 3, dtype=np.int64)
+    zz = _as_z(z)
+    b1, b2, _ = _masks(zz.ravel(), p)
+    out = np.full(zz.size, 3, dtype=np.int64)
     out[b2] = 2
     out[b1] = 1
     return restore_shape(out, zz)

@@ -30,7 +30,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from ._common import as_real_array, dispatch, option, positive, restore_shape
+from ._common import _BLOCK, as_real_array, dispatch, in_blocks, option, positive, restore_shape
 from .core import fadsamp, w_cf_external
 from .exceptions import (
     DefaultOptionNotice,
@@ -99,10 +99,6 @@ _DEFAULT_CONFIG = TwoDomainConfig()
 # subtraction costs more accuracy than it gains
 _GAUSS_SUB_Y = 0.25
 
-# points per call block: every temporary of a block (~1 MB of complex
-# values) stays in a core's L2 cache instead of streaming through memory
-_BLOCK = 1 << 16
-
 
 def _check_y(y):
     if np.ndim(y) != 0:
@@ -166,6 +162,11 @@ class TwoDomainEvaluator:
     continued fraction elsewhere.  It agrees with ``hypot(x, y) <= radius``
     except within an ulp of the seam, where both branches are accurate.
 
+    A call runs the shared block loop :func:`voigt2dom._common.in_blocks`
+    over blocks of ``_BLOCK`` abscissas and projects the result.  Its
+    per-block function sends a bypass block to the generator and splits any
+    other block on ``edge``.
+
     Parameters
     ----------
     y : positive real scalar
@@ -228,25 +229,19 @@ class TwoDomainEvaluator:
             ) from None
 
         xq = as_real_array(xs, name="xs")
-        flat = xq.ravel()
-
-        w = np.empty(flat.shape, dtype=np.complex128)
-        for s in range(0, flat.size, _BLOCK):
-            x = flat[s:s + _BLOCK]
-            if self.bypass:
-                w[s:s + _BLOCK] = self.generator(x + 1j * self.y)
-                continue
-            internal = np.abs(x) <= self.edge
-            w[s:s + _BLOCK] = dispatch(x, (
-                (internal, self._interior),
-                (~internal, self._exterior),
-            ))
-
+        w = in_blocks(xq.ravel(), self._block)
         if opt is OutputOption.REAL_PART:
             w = np.ascontiguousarray(w.real)
         elif opt is OutputOption.IMAG_PART:
             w = np.ascontiguousarray(w.imag)
         return restore_shape(w, xq)
+
+    def _block(self, x):
+        """One block of abscissas: the generator on the bypass, else the disk test."""
+        if self.bypass:
+            return self.generator(x + 1j * self.y)
+        internal = np.abs(x) <= self.edge
+        return dispatch(x, ((internal, self._interior), (~internal, self._exterior)))
 
     def _interior(self, x):
         """Spline values inside the disk, with exp(-x**2) added back if subtracted."""

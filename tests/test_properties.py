@@ -6,10 +6,21 @@ the suite's ``filterwarnings = error``.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voigt2dom import TwoDomainConfig, VoigtError, evaluate, fadsamp, reference_values, wtrap
+from voigt2dom import (
+    TwoDomainConfig,
+    VoigtError,
+    evaluate,
+    fadsamp,
+    reference_values,
+    wtrap,
+    wtrap_corrected,
+    wtrap_midpoint,
+    wtrap_offset,
+)
 
 # reproducible, and nothing written to a local example database
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=300)
@@ -49,6 +60,14 @@ class TestValueOrTypedError:
     @given(abscissas, heights)
     def test_wtrap(self, xs, y):
         value_or_typed_error(wtrap, np.array(xs) + 1j * y)
+
+    @pytest.mark.parametrize(
+        "rule", [wtrap_midpoint, wtrap_corrected, wtrap_offset], ids=lambda f: f.__name__
+    )
+    @PROPERTY
+    @given(abscissas, heights)
+    def test_trapezoid_rule(self, rule, xs, y):
+        value_or_typed_error(rule, np.array(xs) + 1j * y)
 
     @PROPERTY
     @given(abscissas, heights)
