@@ -75,10 +75,9 @@ def as_real_array(x, name="x"):
 
 
 def in_blocks(flat, fn):
-    """``fn`` on consecutive blocks of at most ``_BLOCK`` points of ``flat``, as complex128.
-
-    ``fn`` builds its block's masks for :func:`dispatch`; it never sees an empty block.
-    """
+    """Complex128 values of ``fn`` on ``flat`` in blocks of at most ``_BLOCK`` points."""
+    if 0 < flat.size <= _BLOCK:
+        return np.asarray(fn(flat), dtype=np.complex128)
     out = np.empty(flat.shape, dtype=np.complex128)
     for s in range(0, flat.size, _BLOCK):
         out[s:s + _BLOCK] = fn(flat[s:s + _BLOCK])
@@ -88,9 +87,9 @@ def in_blocks(flat, fn):
 def dispatch(flat, branches):
     """Evaluate each branch on its own points; scatter the complex results back.
 
-    Evaluators call it from the per-block function they give
-    :func:`in_blocks`, with that block's masks, so ``flat`` holds at most
-    ``_BLOCK`` points.
+    The evaluators call it from the per-block function they give
+    :func:`in_blocks`, with that block's masks; there ``flat`` holds at
+    most ``_BLOCK`` points.
 
     ``branches`` holds ``(mask, fn)`` pairs whose boolean masks, shaped like
     ``flat``, partition it.  ``fn`` maps the selected points to a new array
