@@ -9,7 +9,8 @@ cache-sized however long the input is.  Every result goes back through
 :func:`restore_shape`: an array input gives an array of the same shape, and
 a scalar input a Python ``complex``, ``float`` or ``int``.  Every scalar
 parameter is checked by :func:`positive` and every optional parameter
-object by :func:`option`.
+object by :func:`option`.  A formula that can overflow or divide by zero on
+some finite input runs inside :class:`typed_float_errors`.
 """
 
 import math
@@ -74,6 +75,22 @@ def as_real_array(x, name="x"):
     return arr
 
 
+class typed_float_errors(np.errstate):
+    """Context in which an overflow, a division by zero or an invalid
+    operation raises :class:`InputDomainError` instead of giving inf or nan.
+
+    Underflow stays silent: a term that underflows to 0 is below rounding.
+    """
+
+    def __init__(self):
+        super().__init__(over="raise", divide="raise", invalid="raise", under="ignore")
+
+    def __exit__(self, kind, exc, tb):
+        super().__exit__(kind, exc, tb)
+        if kind is not None and issubclass(kind, FloatingPointError):
+            raise InputDomainError(f"no finite binary64 value for this input ({exc})") from exc
+
+
 def in_blocks(flat, fn):
     """Complex128 values of ``fn`` on ``flat`` in blocks of at most ``_BLOCK`` points."""
     if 0 < flat.size <= _BLOCK:
@@ -94,9 +111,10 @@ def dispatch(flat, branches):
     ``branches`` holds ``(mask, fn)`` pairs whose boolean masks, shaped like
     ``flat``, partition it.  ``fn`` maps the selected points to a new array
     of their values and is called only for a branch that selects at least
-    one point.  Callers pass lambdas over module globals, not the functions
-    themselves, so that a module attribute rebound at run time (a profiler's
-    wrapper) is used.
+    one point.  Callers build ``branches`` on each call, reading module
+    globals then, so that a module attribute rebound at run time (a
+    profiler's wrapper) is used; that holds for a function passed directly,
+    as ``oracle._reference_block`` passes ``_series_values``, as for a lambda.
 
     When one mask selects every point of a non-empty ``flat``, that branch
     gets ``flat`` itself, with no gather or scatter, and its result is

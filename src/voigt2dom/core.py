@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import as_complex_array, dispatch, in_blocks, option, positive, restore_shape
+from ._common import (
+    as_complex_array, dispatch, in_blocks, option, positive, restore_shape, typed_float_errors,
+)
 from .exceptions import InputDomainError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -132,19 +134,20 @@ def w_sampling(z, coeffs=None):
     """
     co = option(coeffs, _DEFAULT_COEFFS, "coeffs")
     zz = as_complex_array(z)
-    u = zz + 0.5j * co.params.varsigma
-    u2 = u * u
+    with typed_float_errors():
+        u = zz + 0.5j * co.params.varsigma
+        u2 = u * u
 
-    acc = np.zeros_like(u)
-    num = np.empty_like(u)
-    den = np.empty_like(u)
-    c2 = co.c * co.c
-    for am, bm, c2m in zip(co.a, co.b, c2):
-        np.multiply(u, bm, out=num)
-        num += am
-        np.subtract(c2m, u2, out=den)
-        num /= den
-        acc += num
+        acc = np.zeros_like(u)
+        num = np.empty_like(u)
+        den = np.empty_like(u)
+        c2 = co.c * co.c
+        for am, bm, c2m in zip(co.a, co.b, c2):
+            np.multiply(u, bm, out=num)
+            num += am
+            np.subtract(c2m, u2, out=den)
+            num /= den
+            acc += num
     return restore_shape(acc, zz)
 
 
@@ -157,21 +160,22 @@ def w_symmetrized(z, coeffs=None):
     """
     co = option(coeffs, _DEFAULT_COEFFS, "coeffs")
     zz = as_complex_array(z)
-    z2 = zz * zz
-    z4 = z2 * z2
+    with typed_float_errors():
+        z2 = zz * zz
+        z4 = z2 * z2
 
-    acc = np.zeros_like(zz)
-    num = np.empty_like(zz)
-    den = np.empty_like(zz)
-    for al, be, ga, th in zip(co.alpha, co.beta, co.gamma, co.theta):
-        np.multiply(z2, be, out=num)
-        np.subtract(al, num, out=num)
-        np.multiply(z2, th, out=den)
-        np.subtract(ga, den, out=den)
-        den += z4
-        num /= den
-        acc += num
-    out = np.exp(-z2) + zz * acc
+        acc = np.zeros_like(zz)
+        num = np.empty_like(zz)
+        den = np.empty_like(zz)
+        for al, be, ga, th in zip(co.alpha, co.beta, co.gamma, co.theta):
+            np.multiply(z2, be, out=num)
+            np.subtract(al, num, out=num)
+            np.multiply(z2, th, out=den)
+            np.subtract(ga, den, out=den)
+            den += z4
+            num /= den
+            acc += num
+        out = np.exp(-z2) + zz * acc
     return restore_shape(out, zz)
 
 
@@ -199,15 +203,16 @@ def _fold(z, depth):
     """The Laplace continued fraction of the given depth, folded bottom-up."""
     zz = as_complex_array(z)
     flat = zz.ravel()
-    # two reusable buffers; fresh temporaries per level would dominate the
-    # run time of large whole-array calls
-    frac = np.divide(0.5 * depth, flat)
-    den = np.empty_like(flat)
-    for k in range(depth - 1, 0, -1):
+    with typed_float_errors():
+        # two reusable buffers; fresh temporaries per level would dominate the
+        # run time of large whole-array calls
+        frac = np.divide(0.5 * depth, flat)
+        den = np.empty_like(flat)
+        for k in range(depth - 1, 0, -1):
+            np.subtract(flat, frac, out=den)
+            np.divide(0.5 * k, den, out=frac)
         np.subtract(flat, frac, out=den)
-        np.divide(0.5 * k, den, out=frac)
-    np.subtract(flat, frac, out=den)
-    out = np.divide(1j / SQRT_PI, den, out=frac)
+        out = np.divide(1j / SQRT_PI, den, out=frac)
     return restore_shape(out, zz)
 
 

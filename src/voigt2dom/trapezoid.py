@@ -11,11 +11,12 @@ every ``Im z > 0`` already at order N = 11.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._common import as_complex_array, dispatch, in_blocks, option, positive, restore_shape
+from ._common import (
+    as_complex_array, dispatch, in_blocks, option, positive, restore_shape, typed_float_errors,
+)
 from .exceptions import InputDomainError, PoleProximityError
 
 __all__ = [
@@ -54,27 +55,29 @@ class TrapParams:
 _DEFAULT_PARAMS = TrapParams()
 
 
-@lru_cache(maxsize=32)
-def _tables(p):
-    """Quadrature nodes t_k = (k + 1/2) h, tau_k = k h and Gaussian weights."""
-    t = (np.arange(p.N + 1) + 0.5) * p.h
-    tau = np.arange(1, p.N + 1) * p.h
-    out = (t * t, np.exp(-t * t), tau * tau, np.exp(-tau * tau))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+def _lattice(p, first, shift):
+    """Squared nodes t_k = (k + shift) h, k = first..N, and their weights exp(-t_k^2)."""
+    t = (np.arange(first, p.N + 1) + shift) * p.h
+    t2 = t * t
+    return t2, np.exp(-t2)
 
 
 def _pole_sum(z2, nodes2, weights):
-    """sum_k w_k / (z^2 - t_k^2) with pole-proximity protection."""
+    """sum_k w_k / (z^2 - t_k^2), raising where some |z^2 - t_k^2| < 1e-290.
+
+    As t_k^2 > 0, the rounded ``Re z^2 - t_k^2`` is 0 or far above 1e-290
+    (exact near t_k^2 by Sterbenz, else >= t_k^2 / 2), and the imaginary part
+    is ``Im z^2``: one exact test per call stands for a test per term.
+    """
+    near = np.abs(z2.imag) < _POLE_TOL
+    if near.any() and np.isin(z2.real[near], nodes2).any():
+        raise PoleProximityError(
+            f"evaluation point within {_POLE_TOL:g} of a quadrature pole"
+        )
     acc = np.zeros_like(z2)
     den = np.empty_like(z2)
     for t2, w in zip(nodes2, weights):
         np.subtract(z2, t2, out=den)
-        if np.any(np.abs(den) < _POLE_TOL):
-            raise PoleProximityError(
-                f"evaluation point within {_POLE_TOL:g} of a quadrature pole"
-            )
         np.divide(w, den, out=den)
         acc += den
     return acc
@@ -117,7 +120,7 @@ def _residue_correction(zz, h, sign):
         s = k * v
         return 2.0 * np.exp(-v * v - s) / (sign + np.exp(-s))
 
-    is_small = (k * zz).real <= _EXP_SWITCH
+    is_small = c * y <= _EXP_SWITCH
     return dispatch(zz, ((is_small, small), (~is_small, big)))
 
 
@@ -143,8 +146,8 @@ def wtrap_midpoint(z, params=None):
     """
     p = option(params, _DEFAULT_PARAMS, "params")
     zz = _as_z(z)
-    t2, wt, _, _ = _tables(p)
-    out = (2j * p.h / math.pi) * zz * _pole_sum(zz * zz, t2, wt)
+    with typed_float_errors():
+        out = (2j * p.h / math.pi) * zz * _pole_sum(zz * zz, *_lattice(p, 0, 0.5))
     return restore_shape(out, zz)
 
 
@@ -164,8 +167,9 @@ def wtrap_corrected(z, params=None):
     """
     p = option(params, _DEFAULT_PARAMS, "params")
     zz = _as_z(z)
-    t2, wt, _, _ = _tables(p)
-    out = _residue_correction(zz, p.h, +1.0) + (2j * p.h / math.pi) * zz * _pole_sum(zz * zz, t2, wt)
+    with typed_float_errors():
+        corr = _residue_correction(zz, p.h, +1.0)
+        out = corr + (2j * p.h / math.pi) * zz * _pole_sum(zz * zz, *_lattice(p, 0, 0.5))
     return restore_shape(out, zz)
 
 
@@ -188,12 +192,12 @@ def wtrap_offset(z, params=None):
     zz = _as_z(z)
     if np.any(np.abs(zz) < _POLE_TOL):
         raise PoleProximityError("offset rule has a pole at z = 0")
-    _, _, tau2, wtau = _tables(p)
-    out = (
-        _residue_correction(zz, p.h, -1.0)
-        + (1j * p.h / math.pi) / zz
-        + (2j * p.h / math.pi) * zz * _pole_sum(zz * zz, tau2, wtau)
-    )
+    with typed_float_errors():
+        out = (
+            _residue_correction(zz, p.h, -1.0)
+            + (1j * p.h / math.pi) / zz
+            + (2j * p.h / math.pi) * zz * _pole_sum(zz * zz, *_lattice(p, 1, 0.0))
+        )
     return restore_shape(out, zz)
 
 

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import wofz
 
 from voigt2dom import (
     InputDomainError,
     OracleDomainError,
     TrapParams,
     calibrate,
+    oracle,
     reference_values,
     w_continued_fraction,
     w_reference,
@@ -96,6 +98,18 @@ class TestOverlapAgreement:
         assert cal["trap_cf"] < 1e-13
         for region in ("series", "trap", "cf"):
             assert cal[region] <= 1e-13
+
+    def test_calibration_covers_a_binary64_series(self, monkeypatch):
+        # where longdouble is binary64 the series loses digits near |z| = 2,
+        # and the estimate calibrate() derives from the ring must cover that
+        monkeypatch.setattr(oracle, "_LD", np.float64)
+        monkeypatch.setattr(oracle, "_CLD", np.complex128)
+        monkeypatch.setattr(oracle, "_SQRT_PI_LD", np.float64(math.sqrt(math.pi)))
+        monkeypatch.setattr(oracle, "_INV_GAMMA", oracle._inverse_gamma_table())
+        rng = np.random.default_rng(20240214)
+        z = 2.0 * np.sqrt(rng.uniform(0.0, 1.0, 3000)) * np.exp(1j * rng.uniform(0.0, np.pi, 3000))
+        err = np.max(np.abs(oracle._series_values(z) - wofz(z)) / np.abs(wofz(z)))
+        assert err <= calibrate()["series"] <= 1e-13
 
 
 class TestDomain:

@@ -2,7 +2,8 @@
 
 Every public evaluator either returns finite values or raises a typed
 ``VoigtError``; a warning (overflow, invalid value) fails the test through
-the suite's ``filterwarnings = error``.
+the suite's ``filterwarnings = error``.  The component formulas and the
+trapezoidal rules keep that contract on the real axis and below it.
 """
 
 import numpy as np
@@ -16,6 +17,11 @@ from voigt2dom import (
     evaluate,
     fadsamp,
     reference_values,
+    w_cf_external,
+    w_continued_fraction,
+    w_sampling,
+    w_simple_rational,
+    w_symmetrized,
     wtrap,
     wtrap_corrected,
     wtrap_midpoint,
@@ -68,6 +74,24 @@ class TestValueOrTypedError:
     @given(abscissas, heights)
     def test_trapezoid_rule(self, rule, xs, y):
         value_or_typed_error(rule, np.array(xs) + 1j * y)
+
+    @pytest.mark.parametrize(
+        "rule", [wtrap_midpoint, wtrap_corrected, wtrap_offset], ids=lambda f: f.__name__
+    )
+    @PROPERTY
+    @given(abscissas, heights.map(lambda y: -y))
+    def test_trapezoid_rule_below_the_axis(self, rule, xs, y):
+        value_or_typed_error(rule, np.array(xs) + 1j * y)
+
+    @pytest.mark.parametrize(
+        "formula",
+        [w_sampling, w_symmetrized, w_continued_fraction, w_cf_external, w_simple_rational],
+        ids=lambda f: f.__name__,
+    )
+    @PROPERTY
+    @given(abscissas, st.one_of(heights, st.just(0.0)))
+    def test_component_formula(self, formula, xs, y):
+        value_or_typed_error(formula, np.array(xs) + 1j * y)
 
     @PROPERTY
     @given(abscissas, heights)

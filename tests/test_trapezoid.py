@@ -131,6 +131,37 @@ class TestRuleDomains:
         assert band.any() and np.all(np.isfinite(rule(z[band])))
 
 
+class TestPoleTest:
+    """One pole test per call raises exactly where a test per term would."""
+
+    @pytest.mark.parametrize("n", [3, 11, 24])
+    @pytest.mark.parametrize("rule", _RULES, ids=lambda f: f.__name__)
+    def test_raises_exactly_at_the_poles(self, rule, n):
+        p = TrapParams(N=n)
+        k = np.arange(n + 3)
+        x = np.concatenate([(k + 0.5) * p.h, k * p.h])
+        x = np.concatenate([x, -x])
+        x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+        ys = [0.0, 5e-324, 1e-300, 1e-295, 1e-290, 1e-200, 1e-20, -1e-300]
+        z = np.empty(x.size * len(ys), dtype=complex)
+        z.real, z.imag = np.repeat(x, len(ys)), np.tile(ys, x.size)
+        # the per-term test: some |z^2 - t_k^2| < 1e-290 over the rule's nodes
+        first, shift = (1, 0.0) if rule is wtrap_offset else (0, 0.5)
+        t = (np.arange(first, n + 1) + shift) * p.h
+        z2 = z * z
+        pole = np.min(np.abs(z2[:, None] - (t * t)[None, :]), axis=1) < 1e-290
+        if rule is wtrap_offset:
+            # and its poles at z = 0: the 1/z term's and the residue term's,
+            # where 1 - exp(-2 i pi z / h) rounds to 0
+            pole |= np.abs(z) < 1e-290
+            pole |= np.abs(1.0 - np.exp((-2j * math.pi / p.h) * z)) < 1e-290
+        assert pole.sum() >= 40
+        for zk in z[pole]:
+            with pytest.raises(PoleProximityError):
+                rule(zk, p)
+        assert np.all(np.isfinite(rule(z[~pole], p)))
+
+
 class TestDispatch:
     def test_branch_selection(self):
         p = TrapParams()
