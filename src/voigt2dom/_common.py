@@ -1,16 +1,16 @@
 """Shared input coercion, block loop, branch dispatch and the shape/scalar convention.
 
-Every evaluator coerces its input with ``as_complex_array`` or
-``as_real_array``.  One whose points take different formulas flattens the
-array with ``arr.ravel()`` and hands it to :func:`in_blocks` with a
-per-block function.  That function builds its block's branch masks and
-splits the block's points with :func:`dispatch`, so every temporary is
-cache-sized however long the input is.  Every result goes back through
-:func:`restore_shape`: an array input gives an array of the same shape, and
-a scalar input a Python ``complex``, ``float`` or ``int``.  Every scalar
-parameter is checked by :func:`positive` and every optional parameter
-object by :func:`option`.  A formula that can overflow or divide by zero on
-some finite input runs inside :class:`typed_float_errors`.
+Every array argument goes through :func:`as_array`, which raises the
+caller's typed error for a bad one.  An evaluator whose points take
+different formulas flattens the array with ``arr.ravel()`` and hands it to
+:func:`in_blocks` with a per-block function.  That function builds its
+block's branch masks and splits the block's points with :func:`dispatch`, so
+every temporary is cache-sized however long the input is.  Every result goes
+back through :func:`restore_shape`: an array input gives an array of the
+same shape, and a scalar input a Python ``complex``, ``float`` or ``int``.
+Every scalar parameter is checked by :func:`positive` and every optional
+parameter object by :func:`option`.  A formula that can overflow or divide
+by zero on some finite input runs inside :class:`typed_float_errors`.
 """
 
 import math
@@ -53,25 +53,23 @@ def option(value, default, name):
     raise ParameterError(f"{name} must be a {type(default).__name__}, got {value!r}")
 
 
-def as_complex_array(z, name="z"):
-    """Coerce ``z`` to a complex128 ndarray, rejecting NaN/Inf in either part."""
-    arr = np.asarray(z, dtype=np.complex128)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise InputDomainError(f"{name} must be finite (no NaN/Inf)")
-    return arr
+def as_array(x, dtype, name, error=InputDomainError):
+    """Coerce the array argument ``x`` to a ``dtype`` ndarray of finite values.
 
-
-def as_real_array(x, name="x"):
-    """Coerce ``x`` to a float64 ndarray, rejecting non-real or non-finite input."""
-    arr = np.asarray(x)
-    if np.iscomplexobj(arr):
-        raise InputDomainError(f"{name} must be real-valued")
+    An ``x`` with no ``dtype`` conversion (str, None, a ragged sequence, a
+    Python int beyond the float range), a complex ``x`` for float64 and NaN
+    or Inf raise ``error``.
+    """
     try:
-        arr = arr.astype(np.float64, copy=False)
-    except (TypeError, ValueError) as exc:
-        raise InputDomainError(f"{name} must be real-valued") from exc
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise InputDomainError(f"{name} must be finite (no NaN/Inf)")
+        arr = np.asarray(x)
+        if not (dtype == np.float64 and np.iscomplexobj(arr)):
+            arr = arr.astype(dtype, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{name} must be numeric") from exc
+    if arr.dtype != dtype:      # complex, left unconverted
+        raise error(f"{name} must be real-valued")
+    if not np.isfinite(arr).all():
+        raise error(f"{name} must be finite (no NaN/Inf)")
     return arr
 
 

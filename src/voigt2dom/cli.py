@@ -51,11 +51,13 @@ class BenchSpec:
         self.point_count = positive(self.point_count, "point_count", integer=True)
         self.repeats = positive(self.repeats, "repeats", integer=True)
         self.y = positive(self.y, "y")
-        if not self.x_half_ranges:
-            raise ParameterError("x_half_ranges must not be empty")
+        for name in ("x_half_ranges", "algorithms"):
+            seq = getattr(self, name)
+            if not isinstance(seq, (tuple, list)) or not seq:
+                raise ParameterError(f"{name} must be a non-empty sequence, got {seq!r}")
         self.x_half_ranges = tuple(positive(a, "x_half_ranges") for a in self.x_half_ranges)
         bad = [a for a in self.algorithms if a not in _ALGORITHMS]
-        if bad or not self.algorithms:
+        if bad:
             raise ParameterError(f"unknown algorithms: {bad}")
 
 
@@ -105,11 +107,10 @@ def cmd_eval(args, parser):
     xs = args.x_range if args.x_range is not None else _read_x_csv(args.input)
 
     config = TwoDomainConfig(density=args.density)
-    if args.algo == "twodom" and args.opt is not None:
-        if args.opt == 1 and args.part != "re":
-            parser.error("--opt 1 produces the real part only; use --part re")
-        if args.opt == 2 and args.part != "im":
-            parser.error("--opt 2 produces the imaginary part only; use --part im")
+    if args.opt == 1 and args.part != "re":
+        parser.error("--opt 1 produces the real part only; use --part re")
+    if args.opt == 2 and args.part != "im":
+        parser.error("--opt 2 produces the imaginary part only; use --part im")
     # opt 1 and 2 are projections of the full complex values, so the part
     # written below is the same either way
     w = _ALGORITHMS[args.algo](xs, args.y, config)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import (
-    as_complex_array, dispatch, in_blocks, option, positive, restore_shape, typed_float_errors,
+    as_array, dispatch, in_blocks, option, positive, restore_shape, typed_float_errors,
 )
 from .exceptions import InputDomainError
 
@@ -133,7 +133,7 @@ def w_sampling(z, coeffs=None):
     denominators bounded away from zero on the target domain.
     """
     co = option(coeffs, _DEFAULT_COEFFS, "coeffs")
-    zz = as_complex_array(z)
+    zz = as_array(z, np.complex128, "z")
     with typed_float_errors():
         u = zz + 0.5j * co.params.varsigma
         u2 = u * u
@@ -159,7 +159,7 @@ def w_symmetrized(z, coeffs=None):
     the real axis and therefore keeps the real part accurate as y -> 0+.
     """
     co = option(coeffs, _DEFAULT_COEFFS, "coeffs")
-    zz = as_complex_array(z)
+    zz = as_array(z, np.complex128, "z")
     with typed_float_errors():
         z2 = zz * zz
         z4 = z2 * z2
@@ -201,7 +201,7 @@ def w_cf_external(z):
 
 def _fold(z, depth):
     """The Laplace continued fraction of the given depth, folded bottom-up."""
-    zz = as_complex_array(z)
+    zz = as_array(z, np.complex128, "z")
     flat = zz.ravel()
     with typed_float_errors():
         # two reusable buffers; fresh temporaries per level would dominate the
@@ -238,7 +238,7 @@ def fadsamp(z, coeffs=None):
     complex scalar or ndarray matching the input shape.
     """
     co = option(coeffs, _DEFAULT_COEFFS, "coeffs")
-    zz = as_complex_array(z)
+    zz = as_array(z, np.complex128, "z")
     if np.any(zz.imag < 0):
         raise InputDomainError("fadsamp requires Im z >= 0")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import as_complex_array, dispatch, in_blocks, restore_shape
+from ._common import as_array, dispatch, in_blocks, positive, restore_shape
 from .core import w_continued_fraction
 from .exceptions import InputDomainError, OracleDomainError
 from .trapezoid import TrapParams, wtrap
@@ -83,7 +83,7 @@ def _region_masks(r):
 
 def reference_values(z):
     """Vectorized reference evaluation; returns the complex values only."""
-    zz = as_complex_array(z)
+    zz = as_array(z, np.complex128, "z")
     if np.any(zz.imag <= 0):
         raise OracleDomainError("reference is validated for Im z > 0 only")
     return restore_shape(in_blocks(zz.ravel(), _reference_block), zz)
@@ -115,11 +115,11 @@ def w_reference(z):
         relative error measured from inter-method agreement at calibration
         time, ``region`` the method that produced it.
     """
-    if np.ndim(z):
+    zz = as_array(z, np.complex128, "z")
+    if zz.ndim:
         raise InputDomainError("w_reference takes one point; use reference_values for arrays")
-    zc = complex(z)
-    value = reference_values(zc)
-    series, trap, _ = _region_masks(np.abs(zc))
+    value = reference_values(zz)
+    series, trap, _ = _region_masks(np.abs(zz))
     region = "series" if series else "trap" if trap else "cf"
     return OracleResult(value, _calibration()[region], region)
 
@@ -132,6 +132,7 @@ def calibrate(samples=256, seed=20240214):
     ``|z| in [7.9, 8.1]``, plus the per-region accuracy estimates derived
     from them.
     """
+    samples = positive(samples, "samples", integer=True)
     rng = np.random.default_rng(seed)
 
     def ring(lo, hi):

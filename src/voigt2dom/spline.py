@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import restore_shape
+from ._common import as_array, restore_shape
 from .exceptions import ExtrapolationError, ParameterError, SplineConstructionError
 
 __all__ = ["CubicSpline", "build_spline", "eval_spline"]
@@ -50,8 +50,8 @@ def build_spline(knots, values, slopes=None):
     -------
     CubicSpline
     """
-    x = np.asarray(knots, dtype=np.float64)
-    y = np.asarray(values, dtype=np.complex128)
+    x = as_array(knots, np.float64, "knots", SplineConstructionError)
+    y = as_array(values, np.complex128, "values", SplineConstructionError)
     if x.ndim != 1 or y.ndim != 1:
         raise SplineConstructionError("knots and values must be one-dimensional")
     if x.size != y.size:
@@ -60,8 +60,6 @@ def build_spline(knots, values, slopes=None):
         )
     if x.size < 4:
         raise SplineConstructionError("a spline needs at least 4 knots")
-    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
-        raise SplineConstructionError("knots and values must be finite")
     h = np.diff(x)
     if np.any(h <= 0):
         raise SplineConstructionError("knots must be strictly increasing")
@@ -70,9 +68,9 @@ def build_spline(knots, values, slopes=None):
     if slopes is None:
         m = _not_a_knot_slopes(h, delta)
     else:
-        m = np.asarray(slopes, dtype=np.complex128)
-        if m.shape != y.shape or not np.all(np.isfinite(m)):
-            raise SplineConstructionError("slopes must be finite, one per knot")
+        m = as_array(slopes, np.complex128, "slopes", SplineConstructionError)
+        if m.shape != y.shape:
+            raise SplineConstructionError("slopes must be one per knot")
 
     coeffs = np.empty((4, x.size - 1), dtype=np.complex128)
     coeffs[0] = y[:-1]
@@ -116,16 +114,15 @@ def eval_spline(spline, x):
 
     Queries may come in any order; each one binary-searches its interval
     independently.  A query equal to a knot returns the interpolated value
-    exactly (to rounding).  Out-of-range and NaN queries raise
-    :class:`ExtrapolationError`; a ``spline`` that is not a
+    exactly (to rounding).  Out-of-range, NaN, Inf, complex and non-numeric
+    queries raise :class:`ExtrapolationError`; a ``spline`` that is not a
     :class:`CubicSpline` raises :class:`ParameterError`.
     """
     if not isinstance(spline, CubicSpline):
         raise ParameterError(f"spline must be a CubicSpline, got {spline!r}")
-    xq = np.asarray(x, dtype=np.float64)
+    xq = as_array(x, np.float64, "x", ExtrapolationError)
     flat = xq.ravel()
     k = spline.knots
-    # a NaN query fails the comparison too
     if flat.size and not (k[0] <= flat.min() and flat.max() <= k[-1]):
         raise ExtrapolationError(
             f"queries must lie in the knot range [{k[0]!r}, {k[-1]!r}]"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import (
-    as_complex_array, dispatch, in_blocks, option, positive, restore_shape, typed_float_errors,
+    as_array, dispatch, in_blocks, option, positive, restore_shape, typed_float_errors,
 )
 from .exceptions import InputDomainError, PoleProximityError
 
@@ -126,7 +126,7 @@ def _residue_correction(zz, h, sign):
 
 def _as_z(z):
     """Coerce ``z`` and reject |z| > 1e154, where ``z * z`` overflows."""
-    zz = as_complex_array(z)
+    zz = as_array(z, np.complex128, "z")
     if np.any(np.abs(zz) > _Z_MAX):
         raise InputDomainError(f"the trapezoidal rules require |z| <= {_Z_MAX:g}")
     return zz

@@ -30,7 +30,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from ._common import _BLOCK, as_real_array, dispatch, in_blocks, option, positive, restore_shape
+from ._common import _BLOCK, as_array, dispatch, in_blocks, option, positive, restore_shape
 from .core import fadsamp, w_cf_external
 from .exceptions import (
     DefaultOptionNotice,
@@ -228,7 +228,7 @@ class TwoDomainEvaluator:
                 f"Wrong parameter opt = {opt!r}! Use 1, 2 or 3."
             ) from None
 
-        xq = as_real_array(xs, name="xs")
+        xq = as_array(xs, np.float64, "xs")
         w = in_blocks(xq.ravel(), self._block)
         if opt is OutputOption.REAL_PART:
             w = np.ascontiguousarray(w.real)

@@ -100,6 +100,22 @@ class TestEval:
                   "--out", str(tmp_path / "o.csv")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("algo", ["fadsamp", "wtrap", "cf"])
+    def test_opt_part_conflict_for_every_algo(self, algo, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--algo", algo, "--y", "1", "--opt", "1",
+                  "--x-range", "0:1:5", "--part", "im",
+                  "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+
+    def test_input_csv_without_numbers(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("x,ignored\n\n# a comment\n")
+        rc = main(["eval", "--algo", "fadsamp", "--y", "1",
+                   "--input", str(src), "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert "no numeric x values" in capsys.readouterr().err
+
     def test_opt_real_projection(self, tmp_path):
         out = tmp_path / "o.csv"
         rc = main(["eval", "--algo", "twodom", "--y", "1", "--opt", "1",
@@ -212,3 +228,34 @@ class TestBench:
         assert len(rows) == 1
         assert rows[0][0] == "wtrap" and rows[0][2] > 0
 
+
+
+class TestUsageErrors:
+    """Each rejected flag value exits 2 with its own message."""
+
+    CASES = {
+        "opt 2 part re": (["eval", "--algo", "twodom", "--y", "1", "--opt", "2",
+                           "--part", "re", "--x-range", "0:1:5", "--out", "o.csv"],
+                          "--opt 2 produces the imaginary part only"),
+        "zero points": (["eval", "--algo", "fadsamp", "--y", "1",
+                         "--x-range", "0:1:0", "--out", "o.csv"], "N must be >= 1"),
+        "trailing x-range": (["eval", "--algo", "fadsamp", "--y", "1",
+                              "--out", "o.csv", "--x-range"], "expected one argument"),
+        "log y-range from 0": (["errmap", "--algo", "fadsamp", "--x-range", "0:1:5",
+                                "--y-range", "0:1:5", "--out", "m.csv"],
+                               "log spacing needs positive bounds"),
+        "empty ranges": (["bench", "--points", "10", "--repeats", "1", "--ranges", ""],
+                         "x_half_ranges must be a non-empty sequence"),
+        "non-numeric range": (["bench", "--points", "10", "--repeats", "1",
+                               "--ranges", "1,x"], "bad list"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_code_and_message(self, case, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv, message = self.CASES[case]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())

@@ -3,20 +3,39 @@
 Empty, integer, float32, strided and Fortran-ordered arrays, lists and int
 scalars give the values of the equivalent complex128 input: the shape of the
 input, checked against ``scipy.special.wofz`` and, except for the oracle
-itself, against the oracle.
+itself, against the oracle.  An argument that is no array of finite
+numbers (of real numbers, where the argument is real) raises the caller's
+typed error and no warning.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import wofz
 
 from voigt2dom import (
+    ExtrapolationError,
     InputDomainError,
     OracleDomainError,
+    SplineConstructionError,
+    TwoDomainEvaluator,
+    build_spline,
+    eval_spline,
     evaluate,
     fadsamp,
     reference_values,
+    w_cf_external,
+    w_continued_fraction,
+    w_reference,
+    w_sampling,
+    w_simple_rational,
+    w_symmetrized,
     wtrap,
+    wtrap_branches,
+    wtrap_corrected,
+    wtrap_midpoint,
+    wtrap_offset,
 )
 
 Y = 0.3
@@ -87,3 +106,49 @@ def test_real_axis_integers(z):
         wtrap(z)
     with pytest.raises(OracleDomainError):
         reference_values(z)
+
+
+# arguments with no conversion to a finite array of numbers
+NOT_NUMERIC = {"str": "x", "int_beyond_float": 10**400, "str_element": [1, "a"], "none": None,
+               "ragged": [1, [2, 3]]}
+# numbers, but not real ones
+NOT_REAL = {"complex": 1 + 1j, "complex_array": np.array([0.5 + 1j])}
+
+_K = np.linspace(-1.0, 1.0, 5)
+
+COMPLEX_ARG = [
+    w_sampling, w_symmetrized, w_continued_fraction, w_cf_external, fadsamp,
+    w_simple_rational, wtrap_midpoint, wtrap_corrected, wtrap_offset, wtrap,
+    wtrap_branches, reference_values, w_reference,
+]
+REAL_ARG = [
+    ("evaluate", lambda x: evaluate(x, 0.5, opt=3), InputDomainError),
+    ("TwoDomainEvaluator", lambda x: TwoDomainEvaluator(0.5)(x, opt=3), InputDomainError),
+    ("eval_spline", lambda x: eval_spline(build_spline(_K, _K + 0.5j), x), ExtrapolationError),
+]
+
+BAD_ARRAYS = (
+    [(f"{fn.__name__}-{kind}", fn, bad, InputDomainError)
+     for fn in COMPLEX_ARG for kind, bad in NOT_NUMERIC.items()]
+    + [(f"{name}-{kind}", fn, bad, error)
+       for name, fn, error in REAL_ARG
+       for kind, bad in {**NOT_NUMERIC, **NOT_REAL}.items()]
+    + [(f"build_spline_values-{kind}", lambda v: build_spline(_K, v), bad,
+        SplineConstructionError) for kind, bad in NOT_NUMERIC.items()]
+    + [(f"build_spline_knots-{kind}", lambda k: build_spline(k, _K + 0.5j), bad,
+        SplineConstructionError)
+       for kind, bad in {"str": ["a", "b", "c", "d", "e"], "complex": _K + 1j,
+                         "int_beyond_float": [0, 1, 2, 3, 10**400]}.items()]
+    + [("build_spline_slopes-str", lambda s: build_spline(_K, _K + 0.5j, s), "x",
+        SplineConstructionError)]
+)
+
+
+@pytest.mark.parametrize("fn, bad, error", [c[1:] for c in BAD_ARRAYS],
+                         ids=[c[0] for c in BAD_ARRAYS])
+def test_bad_array_raises_the_typed_error(fn, bad, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as exc:
+            fn(bad)
+    assert exc.type is error

@@ -19,6 +19,7 @@ from voigt2dom import (
     SamplingParams,
     TrapParams,
     TwoDomainConfig,
+    calibrate,
     eval_spline,
     evaluate,
     fadsamp,
@@ -49,6 +50,11 @@ TYPED_ERRORS = [
     ("w_continued_fraction depth bool", lambda: w_continued_fraction(Z, True), ParameterError),
     ("BenchSpec y None", lambda: BenchSpec(y=None), ParameterError),
     ("BenchSpec repeats 2.5", lambda: BenchSpec(repeats=2.5), ParameterError),
+    ("calibrate samples 0", lambda: calibrate(samples=0), ParameterError),
+    ("calibrate samples 2.5", lambda: calibrate(samples=2.5), ParameterError),
+    ("calibrate samples -3", lambda: calibrate(samples=-3), ParameterError),
+    ("BenchSpec x_half_ranges float", lambda: BenchSpec(x_half_ranges=5.0), ParameterError),
+    ("BenchSpec algorithms int", lambda: BenchSpec(algorithms=5), ParameterError),
 ]
 
 

@@ -36,6 +36,11 @@ class TestConstruction:
         with pytest.raises(SplineConstructionError):
             build_spline([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0])
 
+    def test_not_one_dimensional(self):
+        for knots, values in ((np.arange(8.0).reshape(2, 4), np.ones(8)), (np.arange(4.0), 1.0)):
+            with pytest.raises(SplineConstructionError, match="one-dimensional"):
+                build_spline(knots, values)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(SplineConstructionError):
             build_spline([0.0, 1.0, np.nan, 3.0], [0.0, 1.0, 2.0, 3.0])
