@@ -75,18 +75,19 @@ def as_array(x, dtype, name, error=InputDomainError):
 
 class typed_float_errors(np.errstate):
     """Context in which an overflow, a division by zero or an invalid
-    operation raises :class:`InputDomainError` instead of giving inf or nan.
+    operation raises ``error`` instead of giving inf or nan.
 
     Underflow stays silent: a term that underflows to 0 is below rounding.
     """
 
-    def __init__(self):
+    def __init__(self, error=InputDomainError):
         super().__init__(over="raise", divide="raise", invalid="raise", under="ignore")
+        self.error = error
 
     def __exit__(self, kind, exc, tb):
         super().__exit__(kind, exc, tb)
         if kind is not None and issubclass(kind, FloatingPointError):
-            raise InputDomainError(f"no finite binary64 value for this input ({exc})") from exc
+            raise self.error(f"no finite binary64 value for this input ({exc})") from exc
 
 
 def in_blocks(flat, fn):

@@ -56,7 +56,7 @@ class BenchSpec:
             if not isinstance(seq, (tuple, list)) or not seq:
                 raise ParameterError(f"{name} must be a non-empty sequence, got {seq!r}")
         self.x_half_ranges = tuple(positive(a, "x_half_ranges") for a in self.x_half_ranges)
-        bad = [a for a in self.algorithms if a not in _ALGORITHMS]
+        bad = [a for a in self.algorithms if not isinstance(a, str) or a not in _ALGORITHMS]
         if bad:
             raise ParameterError(f"unknown algorithms: {bad}")
 

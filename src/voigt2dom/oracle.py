@@ -21,7 +21,7 @@ import numpy as np
 
 from ._common import as_array, dispatch, in_blocks, positive, restore_shape
 from .core import w_continued_fraction
-from .exceptions import InputDomainError, OracleDomainError
+from .exceptions import InputDomainError, OracleDomainError, ParameterError
 from .trapezoid import TrapParams, wtrap
 
 __all__ = ["OracleResult", "w_reference", "reference_values", "calibrate"]
@@ -130,9 +130,11 @@ def calibrate(samples=256, seed=20240214):
     Returns a dict with the maximum relative disagreement of the
     series/trap pair on ``|z| in [1.9, 2.1]`` and of the trap/cf pair on
     ``|z| in [7.9, 8.1]``, plus the per-region accuracy estimates derived
-    from them.
+    from them.  ``seed`` is a non-negative integer.
     """
     samples = positive(samples, "samples", integer=True)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
 
     def ring(lo, hi):

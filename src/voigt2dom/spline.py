@@ -5,17 +5,60 @@ values and slopes at its two end knots.  Given the slopes, construction is
 one O(n) pass with no solve.  Otherwise the not-a-knot spline's slopes come
 from one tridiagonal O(n) system in the slopes themselves, the only place
 the package loads scipy.  A complex right-hand side splines the real and
-imaginary parts together on the shared knots.
+imaginary parts together on the shared knots.  A query finds its interval
+in O(1) through the spline's :class:`BucketIndex`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from ._common import as_array, restore_shape
+from ._common import as_array, restore_shape, typed_float_errors
 from .exceptions import ExtrapolationError, ParameterError, SplineConstructionError
 
 __all__ = ["CubicSpline", "build_spline", "eval_spline"]
+
+
+class BucketIndex(NamedTuple):
+    """Interval lookup table of a spline's knots ``k[0] < ... < k[n-1]``.
+
+    ``[k[0], k[n-1]]`` is cut into ``n`` equal buckets; ``x`` is in bucket
+    ``b = min(int((x - origin) * scale), n - 1)``.  ``below[b]`` counts the
+    interior knots in buckets below ``b``, ``stops`` holds the interior knots
+    padded with ``+inf``, and ``steps`` the powers of two from the fullest
+    bucket's knot count down to 1.
+    """
+
+    origin: float
+    scale: float
+    below: np.ndarray
+    stops: np.ndarray
+    steps: tuple
+
+
+def _bucket_index(knots):
+    """The :class:`BucketIndex` of strictly increasing ``knots``.
+
+    One bucket per knot: on a two-domain grid, whose knot gaps differ by at
+    most 2x away from the +-r*eps centre pair, no bucket then holds more
+    than three interior knots, so a query takes two jumps.  Buckets as narrow
+    as the second-smallest gap would save one jump on about half of the
+    grids, but their 1.4x larger table costs more to build, once per ``y``,
+    than that jump costs on a few thousand points.
+    """
+    k = np.asarray(knots, dtype=np.float64)
+    n = k.size
+    scale = n / (k[-1] - k[0])
+    inner = k[1:-1]
+    bucket = np.minimum(((inner - k[0]) * scale).astype(np.intp), n - 1)
+    count = np.bincount(bucket, minlength=n)
+    below = np.cumsum(count) - count
+    fullest = int(count.max())
+    steps = tuple(1 << p for p in reversed(range(fullest.bit_length())))
+    stops = np.concatenate([inner, np.full(fullest, np.inf)])
+    below.flags.writeable = stops.flags.writeable = False
+    return BucketIndex(float(k[0]), scale, below, stops, steps)
 
 
 @dataclass(frozen=True)
@@ -26,11 +69,16 @@ class CubicSpline:
     ``a[i] + b[i] d + c[i] d^2 + e[i] d^3`` with ``d = x - knots[i]``.
     ``right_value`` is the data value at the last knot, kept so queries
     landing exactly on it are returned without polynomial rounding.
+    ``index`` is the knots' :class:`BucketIndex`, built on construction.
     """
 
     knots: np.ndarray
     coeffs: np.ndarray
     right_value: complex
+    index: BucketIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", _bucket_index(self.knots))
 
 
 def build_spline(knots, values, slopes=None):
@@ -60,28 +108,29 @@ def build_spline(knots, values, slopes=None):
         )
     if x.size < 4:
         raise SplineConstructionError("a spline needs at least 4 knots")
-    h = np.diff(x)
-    if np.any(h <= 0):
-        raise SplineConstructionError("knots must be strictly increasing")
+    with typed_float_errors(SplineConstructionError):
+        h = np.diff(x)
+        if np.any(h <= 0):
+            raise SplineConstructionError("knots must be strictly increasing")
 
-    delta = np.diff(y) / h
-    if slopes is None:
-        m = _not_a_knot_slopes(h, delta)
-    else:
-        m = as_array(slopes, np.complex128, "slopes", SplineConstructionError)
-        if m.shape != y.shape:
-            raise SplineConstructionError("slopes must be one per knot")
+        delta = np.diff(y) / h
+        if slopes is None:
+            m = _not_a_knot_slopes(h, delta)
+        else:
+            m = as_array(slopes, np.complex128, "slopes", SplineConstructionError)
+            if m.shape != y.shape:
+                raise SplineConstructionError("slopes must be one per knot")
 
-    coeffs = np.empty((4, x.size - 1), dtype=np.complex128)
-    coeffs[0] = y[:-1]
-    coeffs[1] = m[:-1]
-    coeffs[2] = (3.0 * delta - 2.0 * m[:-1] - m[1:]) / h
-    coeffs[3] = (m[:-1] + m[1:] - 2.0 * delta) / (h * h)
+        coeffs = np.empty((4, x.size - 1), dtype=np.complex128)
+        coeffs[0] = y[:-1]
+        coeffs[1] = m[:-1]
+        coeffs[2] = (3.0 * delta - 2.0 * m[:-1] - m[1:]) / h
+        coeffs[3] = (m[:-1] + m[1:] - 2.0 * delta) / (h * h)
 
-    xs = x.copy()
-    xs.flags.writeable = False
-    coeffs.flags.writeable = False
-    return CubicSpline(xs, coeffs, complex(y[-1]))
+        xs = x.copy()
+        xs.flags.writeable = False
+        coeffs.flags.writeable = False
+        return CubicSpline(xs, coeffs, complex(y[-1]))
 
 
 def _not_a_knot_slopes(h, delta):
@@ -90,6 +139,8 @@ def _not_a_knot_slopes(h, delta):
     One tridiagonal system in the slopes (de Boor 1978, ch. IV): the interior
     rows make the second derivative continuous at each interior knot, the end
     rows the third derivative at the second and the second-to-last knot.
+    LAPACK solves it outside numpy's float error checks, so a singular or
+    non-finite solution raises :class:`SplineConstructionError` here.
     """
     from scipy.linalg import solve_banded   # here, so no other path loads scipy
 
@@ -106,16 +157,26 @@ def _not_a_knot_slopes(h, delta):
     rhs[0] = ((h[0] + 2.0 * d0) * h[1] * delta[0] + h[0] ** 2 * delta[1]) / d0
     band[1, -1], band[2, -2] = h[-2], d1
     rhs[-1] = (h[-1] ** 2 * delta[-2] + (2.0 * d1 + h[-1]) * h[-2] * delta[-1]) / d1
-    return solve_banded((1, 1), band, rhs)
+    try:
+        m = solve_banded((1, 1), band, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SplineConstructionError(f"no not-a-knot slopes for these knots ({exc})") from exc
+    if not np.isfinite(m).all():
+        raise SplineConstructionError("no finite not-a-knot slopes for these knots and values")
+    return m
 
 
 def eval_spline(spline, x):
     """Evaluate the spline at points ``x`` (each inside the knot range).
 
-    Queries may come in any order; each one binary-searches its interval
-    independently.  A query equal to a knot returns the interpolated value
-    exactly (to rounding).  Out-of-range, NaN, Inf, complex and non-numeric
-    queries raise :class:`ExtrapolationError`; a ``spline`` that is not a
+    Queries may come in any order.  Each finds its interval through the
+    spline's :class:`BucketIndex`: as the bucket map is monotone, ``below``
+    of the query's bucket is a lower bound on the interval, and one jump per
+    entry ``s`` of ``steps`` (``i += s`` where the query is at or past
+    ``stops[i + s - 1]``) lands on the interval a binary search would find.
+    A query equal to a knot returns the interpolated value exactly (to
+    rounding).  Out-of-range, NaN, Inf, complex and non-numeric queries
+    raise :class:`ExtrapolationError`; a ``spline`` that is not a
     :class:`CubicSpline` raises :class:`ParameterError`.
     """
     if not isinstance(spline, CubicSpline):
@@ -129,7 +190,11 @@ def eval_spline(spline, x):
         )
 
     # interval index 0 .. n-2; the right endpoint falls in the last interval
-    idx = np.searchsorted(k[1:-1], flat, side="right")
+    ix = spline.index
+    bucket = ((flat - ix.origin) * ix.scale).astype(np.intp)
+    idx = np.take(ix.below, bucket, mode="clip")    # the right end clips to bucket n - 1
+    for s in ix.steps:
+        idx += s * (flat >= ix.stops[s - 1:][idx])
     d = flat - k[idx]
     a, b, c, e = spline.coeffs
     out = ((e[idx] * d + c[idx]) * d + b[idx]) * d + a[idx]

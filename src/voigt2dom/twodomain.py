@@ -222,7 +222,7 @@ class TwoDomainEvaluator:
                 stacklevel=2,
             )
         try:
-            opt = OutputOption(opt)
+            opt = OutputOption(positive(opt, "opt", integer=True, error=ValueError))
         except ValueError:
             raise InvalidOptionError(
                 f"Wrong parameter opt = {opt!r}! Use 1, 2 or 3."

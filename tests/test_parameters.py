@@ -1,7 +1,8 @@
 """One rule for every parameter, and one table of public names.
 
 A bad parameter object, option or scalar raises ``ParameterError``; a bad
-``y`` of the two-domain scheme raises ``InputDomainError``.  The package's
+``y`` of the two-domain scheme raises ``InputDomainError`` and a bad ``opt``
+``InvalidOptionError``.  The package's
 public names are the union of its submodules' ``__all__`` lists.
 """
 
@@ -15,6 +16,8 @@ import pytest
 import voigt2dom
 from voigt2dom import (
     InputDomainError,
+    InvalidOptionError,
+    OutputOption,
     ParameterError,
     SamplingParams,
     TrapParams,
@@ -55,6 +58,11 @@ TYPED_ERRORS = [
     ("calibrate samples -3", lambda: calibrate(samples=-3), ParameterError),
     ("BenchSpec x_half_ranges float", lambda: BenchSpec(x_half_ranges=5.0), ParameterError),
     ("BenchSpec algorithms int", lambda: BenchSpec(algorithms=5), ParameterError),
+    ("evaluate opt bool", lambda: evaluate(XS, 0.5, opt=True), InvalidOptionError),
+    ("evaluate opt float", lambda: evaluate(XS, 0.5, opt=1.0), InvalidOptionError),
+    ("BenchSpec algorithms nested", lambda: BenchSpec(algorithms=[["cf"]]), ParameterError),
+    ("calibrate seed str", lambda: calibrate(seed="x"), ParameterError),
+    ("calibrate seed -1", lambda: calibrate(seed=-1), ParameterError),
 ]
 
 
@@ -101,6 +109,15 @@ def test_positive_integer_returns_an_int(value):
 def test_positive_raises_the_given_error():
     with pytest.raises(InputDomainError):
         positive(-1.0, "y", error=InputDomainError)
+
+
+@pytest.mark.parametrize("opt", [1, np.int64(1), np.array(1), OutputOption.REAL_PART])
+def test_integer_opt_is_an_option(opt):
+    assert np.array_equal(evaluate(XS, 0.5, opt=opt), evaluate(XS, 0.5, opt=1))
+
+
+def test_calibrate_takes_seed_zero():
+    assert calibrate(samples=8, seed=0) == calibrate(samples=8, seed=np.int64(0))
 
 
 def test_option_defaults_and_type():

@@ -1,5 +1,6 @@
 """Tests for the complex not-a-knot cubic spline."""
 
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +11,11 @@ import pytest
 from scipy.interpolate import CubicSpline as ScipyCubicSpline
 
 from voigt2dom import (
+    CubicSpline,
     ExtrapolationError,
     SplineConstructionError,
+    TwoDomainConfig,
+    TwoDomainEvaluator,
     build_spline,
     eval_spline,
 )
@@ -46,6 +50,26 @@ class TestConstruction:
             build_spline([0.0, 1.0, np.nan, 3.0], [0.0, 1.0, 2.0, 3.0])
         with pytest.raises(SplineConstructionError):
             build_spline([0.0, 1.0, 2.0, 3.0], [0.0, np.inf, 2.0, 3.0])
+
+    @pytest.mark.parametrize("with_slopes", [False, True])
+    @pytest.mark.parametrize("knots", [
+        [0.0, 1e-300, 1.0, 2.0],                # h^2 underflows to 0
+        [0.0, 1e-160, 1.0, 2.0],                # h^2 is subnormal
+        [-1.5e308, -1e308, 1e308, 1.5e308],     # a knot gap overflows
+    ])
+    def test_no_finite_coefficients_raises(self, knots, with_slopes):
+        slopes = np.zeros(4) if with_slopes else None
+        with pytest.raises(SplineConstructionError, match="no finite binary64 value"):
+            build_spline(knots, [1.0, 2.0, 0.5, 1.5], slopes)
+
+    @pytest.mark.parametrize("knots, values, match", [
+        ([0.0, 1e-147, 1e-102, 1e133], [1e11, 0.0, 0.0, 0.0], "singular matrix"),
+        ([9e-140, 3e-127, 2e-35, 8e4], [-4e-252, 5e96, -4e249, 1e115], "no finite not-a-knot"),
+    ])
+    def test_not_a_knot_solve_without_finite_slopes_raises(self, knots, values, match):
+        # LAPACK reports neither case through numpy's float errors
+        with pytest.raises(SplineConstructionError, match=match):
+            build_spline(knots, values)
 
 
 class TestReproduction:
@@ -269,3 +293,73 @@ class TestHermite:
         knots = np.arange(6.0)
         with pytest.raises(SplineConstructionError):
             build_spline(knots, np.ones(6, dtype=complex), slopes)
+
+
+def _interval_spline(knots):
+    """A spline whose value on interval i is i, so a query returns its interval."""
+    n = len(knots)
+    coeffs = np.zeros((4, n - 1), dtype=complex)
+    coeffs[0] = np.arange(n - 1)
+    return CubicSpline(np.asarray(knots, dtype=float), coeffs, complex(n - 2))
+
+
+def _hard_queries(knots, rng):
+    """Every knot, both of its float neighbours inside the range, +-0 and random points."""
+    k = np.asarray(knots, dtype=float)
+    q = np.concatenate([
+        k, np.nextafter(k[:-1], np.inf), np.nextafter(k[1:], -np.inf),
+        rng.uniform(k[0], k[-1], 20_000),
+    ])
+    if k[0] <= 0.0 <= k[-1]:
+        q = np.concatenate([q, [0.0, -0.0]])
+    return q
+
+
+class TestBucketIndex:
+    """The interval each query lands in is the one a binary search finds."""
+
+    @staticmethod
+    def _check(knots, rng):
+        q = _hard_queries(knots, rng)
+        want = np.searchsorted(np.asarray(knots)[1:-1], q, side="right")
+        got = eval_spline(_interval_spline(knots), q)
+        assert np.array_equal(got.real, want) and not got.imag.any()
+
+    @pytest.mark.parametrize("density", ["basic", "enhanced"])
+    @pytest.mark.parametrize("y", [1e-8, 1e-5, 1e-2, 0.25, 1.0, 10.0, 34.9])
+    def test_evaluator_grids(self, y, density, rng):
+        knots = TwoDomainEvaluator(y, TwoDomainConfig(density=density)).spline.knots
+        self._check(knots, rng)
+        # knot gaps differ by at most 2x outside the +-r*eps centre pair, so
+        # no bucket holds more than three interior knots
+        assert len(_interval_spline(knots).index.steps) <= 2
+
+    @pytest.mark.parametrize("knots", [
+        np.geomspace(1e-300, 1.0, 401),
+        np.concatenate([np.linspace(0.0, 1e-9, 200), np.linspace(1.0, 2.0, 200)]),
+        np.linspace(-3.0, 7.0, 1000),
+        np.array([0.0, 1.0, 2.5, 3.0]),
+    ], ids=["geometric", "cluster", "uniform", "four"])
+    def test_pathological_knots(self, knots, rng):
+        self._check(knots, rng)
+        assert len(_interval_spline(knots).index.steps) <= math.ceil(math.log2(knots.size))
+
+    def test_geometric_knots_take_log2_steps(self):
+        index = _interval_spline(np.geomspace(1e-300, 1.0, 401)).index
+        assert index.steps == (256, 128, 64, 32, 16, 8, 4, 2, 1)
+
+    def test_one_interval_needs_no_jump(self):
+        s = _interval_spline([-1.0, 2.0])
+        assert s.index.steps == ()
+        assert np.array_equal(eval_spline(s, [-1.0, 0.5, 2.0]), np.zeros(3))
+
+    def test_built_on_construction_and_read_only(self):
+        s = _interval_spline([0.0, 1.0, 2.5, 3.0])
+        assert s.index.below.flags.writeable is False
+        assert s.index.stops.flags.writeable is False
+        with pytest.raises(ValueError, match="read-only"):
+            s.index.below[0] = 1
+        built = build_spline(s.knots, np.ones(4)).index
+        for mine, theirs in zip(s.index, built):
+            assert np.array_equal(mine, theirs)
+        assert "index" not in repr(s)
