@@ -241,10 +241,10 @@ def build_parser():
     p_bench = sub.add_parser("bench", help="run-time comparison of the algorithms")
     p_bench.add_argument("--points", type=int, default=1_000_000,
                          help="points per call (desk-scale default 1e6)")
-    p_bench.add_argument("--ranges", type=_comma_list(float), default=[10.0, 100.0, 1000.0])
-    p_bench.add_argument("--y", type=float, default=1e-8)
-    p_bench.add_argument("--repeats", type=int, default=10)
-    p_bench.add_argument("--algos", type=_comma_list(str), default=["twodom", "fadsamp", "wtrap"])
+    p_bench.add_argument("--ranges", type=_comma_list(float), default=BenchSpec.x_half_ranges)
+    p_bench.add_argument("--y", type=float, default=BenchSpec.y)
+    p_bench.add_argument("--repeats", type=int, default=BenchSpec.repeats)
+    p_bench.add_argument("--algos", type=_comma_list(str), default=BenchSpec.algorithms)
     p_bench.add_argument("--out")
     p_bench.set_defaults(func=cmd_bench)
     return parser

@@ -60,9 +60,9 @@ class SamplingParams:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplingCoefficients:
-    """Precomputed expansion coefficients (read-only arrays of length M)."""
+    """Precomputed expansion coefficients (read-only arrays of length M); equal only to itself."""
 
     params: SamplingParams
     a: np.ndarray        # real

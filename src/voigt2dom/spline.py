@@ -2,9 +2,9 @@
 
 Every table is in cubic Hermite form: each interval's cubic is fixed by the
 values and slopes at its two end knots.  Given the slopes, construction is
-one O(n) pass with no solve.  Otherwise the not-a-knot spline's slopes come
-from one tridiagonal O(n) system in the slopes themselves, the only place
-the package loads scipy.  A complex right-hand side splines the real and
+one O(n) pass with no solve.  Otherwise the slopes are those of scipy's
+not-a-knot :class:`scipy.interpolate.CubicSpline`, the only place the
+package loads scipy.  A complex right-hand side splines the real and
 imaginary parts together on the shared knots.  A query finds its interval
 in O(1) through the spline's :class:`BucketIndex`.
 """
@@ -61,7 +61,7 @@ def _bucket_index(knots):
     return BucketIndex(float(k[0]), scale, below, stops, steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CubicSpline:
     """Knot array plus per-interval cubic coefficients.
 
@@ -70,15 +70,25 @@ class CubicSpline:
     ``right_value`` is the data value at the last knot, kept so queries
     landing exactly on it are returned without polynomial rounding.
     ``index`` is the knots' :class:`BucketIndex`, built on construction.
+    Construction keeps a read-only copy of the knots; bad knots or a coeffs
+    shape other than (4, n-1) raise :class:`SplineConstructionError`.  A
+    spline equals only itself.
     """
 
     knots: np.ndarray
     coeffs: np.ndarray
     right_value: complex
-    index: BucketIndex = field(init=False, repr=False, compare=False)
+    index: BucketIndex = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "index", _bucket_index(self.knots))
+        k = as_array(self.knots, np.float64, "knots", SplineConstructionError).copy()
+        if k.ndim != 1 or k.size < 2 or not (k[:-1] < k[1:]).all():
+            raise SplineConstructionError("knots must be 1-d, strictly increasing and at least 2")
+        if np.shape(self.coeffs) != (4, k.size - 1):
+            raise SplineConstructionError(f"coeffs must have shape (4, {k.size - 1})")
+        k.flags.writeable = False
+        object.__setattr__(self, "knots", k)
+        object.__setattr__(self, "index", _bucket_index(k))
 
 
 def build_spline(knots, values, slopes=None):
@@ -115,7 +125,7 @@ def build_spline(knots, values, slopes=None):
 
         delta = np.diff(y) / h
         if slopes is None:
-            m = _not_a_knot_slopes(h, delta)
+            m = _not_a_knot_slopes(x, y)
         else:
             m = as_array(slopes, np.complex128, "slopes", SplineConstructionError)
             if m.shape != y.shape:
@@ -127,42 +137,28 @@ def build_spline(knots, values, slopes=None):
         coeffs[2] = (3.0 * delta - 2.0 * m[:-1] - m[1:]) / h
         coeffs[3] = (m[:-1] + m[1:] - 2.0 * delta) / (h * h)
 
-        xs = x.copy()
-        xs.flags.writeable = False
         coeffs.flags.writeable = False
-        return CubicSpline(xs, coeffs, complex(y[-1]))
+        return CubicSpline(x, coeffs, complex(y[-1]))
 
 
-def _not_a_knot_slopes(h, delta):
-    """Not-a-knot spline slopes from widths ``h`` and divided differences ``delta``.
+def _not_a_knot_slopes(x, y):
+    """Slopes at the knots ``x`` of the not-a-knot cubic spline through (x, y).
 
-    One tridiagonal system in the slopes (de Boor 1978, ch. IV): the interior
-    rows make the second derivative continuous at each interior knot, the end
-    rows the third derivative at the second and the second-to-last knot.
-    LAPACK solves it outside numpy's float error checks, so a singular or
-    non-finite solution raises :class:`SplineConstructionError` here.
+    The spline is scipy's ``CubicSpline(x, y, bc_type="not-a-knot")``, whose
+    third derivative is continuous at the second and second-to-last knot.
+    scipy reports a singular system or non-finite slopes as a ``ValueError``
+    (``LinAlgError`` is one), not through numpy's float errors, so those and
+    any non-finite slopes raise :class:`SplineConstructionError` here.
     """
-    from scipy.linalg import solve_banded   # here, so no other path loads scipy
+    # here, so no other path loads scipy; the alias keeps our CubicSpline's name
+    from scipy.interpolate import CubicSpline as ScipyCubicSpline
 
-    n = h.size + 1
-    band = np.zeros((3, n))                 # rows: upper, main, lower diagonal
-    band[0, 2:] = h[:-1]
-    band[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
-    band[2, :-2] = h[1:]
-    rhs = np.empty(n, dtype=np.complex128)
-    rhs[1:-1] = 3.0 * (h[1:] * delta[:-1] + h[:-1] * delta[1:])
-
-    d0, d1 = h[0] + h[1], h[-2] + h[-1]
-    band[1, 0], band[0, 1] = h[1], d0
-    rhs[0] = ((h[0] + 2.0 * d0) * h[1] * delta[0] + h[0] ** 2 * delta[1]) / d0
-    band[1, -1], band[2, -2] = h[-2], d1
-    rhs[-1] = (h[-1] ** 2 * delta[-2] + (2.0 * d1 + h[-1]) * h[-2] * delta[-1]) / d1
     try:
-        m = solve_banded((1, 1), band, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SplineConstructionError(f"no not-a-knot slopes for these knots ({exc})") from exc
+        m = ScipyCubicSpline(x, y, bc_type="not-a-knot")(x, 1)
+    except ValueError as exc:
+        raise SplineConstructionError(f"no finite not-a-knot slopes ({exc})") from exc
     if not np.isfinite(m).all():
-        raise SplineConstructionError("no finite not-a-knot slopes for these knots and values")
+        raise SplineConstructionError("no finite not-a-knot slopes")
     return m
 
 

@@ -31,7 +31,7 @@ from enum import IntEnum
 import numpy as np
 
 from ._common import _BLOCK, as_array, dispatch, in_blocks, option, positive, restore_shape
-from .core import fadsamp, w_cf_external
+from .core import SQRT_PI, fadsamp, w_cf_external
 from .exceptions import (
     DefaultOptionNotice,
     InputDomainError,
@@ -200,7 +200,7 @@ class TwoDomainEvaluator:
             z = g + 1j * self.y
             half = np.asarray(self.generator(z))
             # w'(z) = -2z w(z) + 2i/sqrt(pi) (Abramowitz & Stegun 7.1.20)
-            slope = 2j / math.sqrt(math.pi) - 2.0 * z * half
+            slope = 2j / SQRT_PI - 2.0 * z * half
             if self.gauss_sub:
                 gauss = np.exp(-g * g)
                 half = half - gauss
@@ -214,20 +214,7 @@ class TwoDomainEvaluator:
 
     def __call__(self, xs, opt=None):
         """Evaluate at abscissas ``xs``; see :func:`evaluate`."""
-        if opt is None:
-            opt = OutputOption.COMPLEX_FULL
-            warnings.warn(
-                "output option not given; default opt = 3 (full complex) assigned",
-                DefaultOptionNotice,
-                stacklevel=2,
-            )
-        try:
-            opt = OutputOption(positive(opt, "opt", integer=True, error=ValueError))
-        except ValueError:
-            raise InvalidOptionError(
-                f"Wrong parameter opt = {opt!r}! Use 1, 2 or 3."
-            ) from None
-
+        opt = _output_option(opt)
         xq = as_array(xs, np.float64, "xs")
         w = in_blocks(xq.ravel(), self._block)
         if opt is OutputOption.REAL_PART:
@@ -258,6 +245,18 @@ class TwoDomainEvaluator:
         return w_cf_external(x + 1j * self.y)
 
 
+def _output_option(opt):
+    """``opt`` as an :class:`OutputOption`; None gives 3 and a notice at the caller's caller."""
+    if opt is None:
+        warnings.warn("output option not given; default opt = 3 (full complex) assigned",
+                      DefaultOptionNotice, stacklevel=3)
+        return OutputOption.COMPLEX_FULL
+    try:
+        return OutputOption(positive(opt, "opt", integer=True, error=ValueError))
+    except ValueError:
+        raise InvalidOptionError(f"Wrong parameter opt = {opt!r}! Use 1, 2 or 3.") from None
+
+
 def evaluate(xs, y, opt=None, config=None, generator=None):
     """Two-domain evaluation of the Faddeeva function at ``xs + 1j*y``.
 
@@ -280,4 +279,5 @@ def evaluate(xs, y, opt=None, config=None, generator=None):
     -------
     ndarray (real for opt 1/2, complex for opt 3) or matching scalar.
     """
+    opt = _output_option(opt)
     return TwoDomainEvaluator(y, config=config, generator=generator)(xs, opt=opt)

@@ -63,6 +63,13 @@ class TestSamplingCoefficients:
         s = co.params.varsigma
         assert np.allclose(co.theta, 2.0 * co.c**2 - s**2 / 2.0, rtol=1e-15)
 
+    def test_equal_only_to_itself_and_hashable(self):
+        # array fields are not compared, so two builds neither raise nor match
+        co, other = build_sampling_coefficients(), build_sampling_coefficients()
+        assert co == co
+        assert (co == other) is False
+        assert len({co, other}) == 2
+
     def test_a_real_b_imaginary(self):
         co = default_coefficients()
         assert not np.iscomplexobj(co.a)

@@ -72,6 +72,36 @@ class TestConstruction:
             build_spline(knots, values)
 
 
+class TestDirectConstruction:
+    """A CubicSpline built without build_spline checks its own knots and coeffs."""
+
+    @pytest.mark.parametrize("knots, coeffs_shape", [
+        ([0.0, 2.0, 1.0, 3.0], (4, 3)),             # unsorted: queries would land in 0, 2, 2
+        ([0.0, 1.0, 1.0, 3.0], (4, 3)),             # a repeated knot
+        (np.arange(8.0).reshape(2, 4), (4, 7)),     # two-dimensional
+        ([0.0], (4, 0)),                            # one knot: no interval, no bucket width
+        ([0.0, np.nan, 3.0], (4, 2)),
+        ([0.0, 1.0, 3.0], (4, 5)),                  # coeffs of the wrong shape
+        ([0.0, 1.0, 3.0], (3, 2)),
+    ])
+    def test_bad_knots_or_coeffs_raise(self, knots, coeffs_shape):
+        with pytest.raises(SplineConstructionError):
+            CubicSpline(knots, np.zeros(coeffs_shape, dtype=complex), 0j)
+
+    def test_knots_are_a_read_only_copy(self):
+        knots = np.array([0.0, 1.0, 3.0])
+        s = CubicSpline(knots, np.zeros((4, 2), dtype=complex), 0j)
+        knots[0] = -5.0
+        assert s.knots[0] == 0.0
+        assert s.knots.flags.writeable is False
+
+    def test_equal_only_to_itself_and_hashable(self):
+        s, t = (build_spline([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 0.5, 1.5]) for _ in range(2))
+        assert s == s
+        assert (s == t) is False
+        assert hash(s) == hash(s) and len({s, t}) == 2
+
+
 class TestReproduction:
     def test_cubic_polynomial_reproduced(self):
         # not-a-knot reproduces any cubic exactly

@@ -146,6 +146,21 @@ class TestEvaluate:
         w_explicit = evaluate(np.array([1.0, 2.0]), 1.0, opt=3)
         assert np.array_equal(w_default, w_explicit)
 
+    def test_default_option_notice_names_the_caller(self):
+        # so a warnings filter on the caller's own module matches it
+        ev = TwoDomainEvaluator(1.0)
+        for call in (lambda: evaluate(np.array([1.0]), 1.0), lambda: ev(np.array([1.0]))):
+            with pytest.warns(DefaultOptionNotice) as record:
+                call()
+            assert [r.filename for r in record] == [__file__]
+
+    def test_invalid_option_raises_before_the_build(self):
+        def spy(z):
+            raise AssertionError("the generator ran")
+
+        with pytest.raises(InvalidOptionError):
+            evaluate(np.array([1.0]), 1.0, opt=5, generator=spy)
+
     def test_option_projections(self):
         xs = np.linspace(-3, 3, 11)
         k = evaluate(xs, 0.7, opt=1)
