@@ -3,9 +3,9 @@
 Every array argument goes through :func:`as_array`, which raises the
 caller's typed error for a bad one.  An evaluator whose points take
 different formulas flattens the array with ``arr.ravel()`` and hands it to
-:func:`in_blocks` with a per-block function.  That function builds its
-block's branch masks and splits the block's points with :func:`dispatch`, so
-every temporary is cache-sized however long the input is.  Every result goes
+:func:`in_blocks` with its mask function and branches; :func:`dispatch`
+writes each block's values into its slice of the call's one output, so every
+temporary is sized by the block however long the input is.  Every result goes
 back through :func:`restore_shape`: an array input gives an array of the
 same shape, and a scalar input a Python ``complex``, ``float`` or ``int``.
 Every scalar parameter is checked by :func:`positive` and every optional
@@ -19,8 +19,8 @@ import numpy as np
 
 from .exceptions import InputDomainError, ParameterError
 
-# points per block: every temporary of a block (~1 MB of complex values)
-# stays in a core's L2 cache instead of streaming through memory
+# points per block: every temporary of a call is sized by the block, not by
+# the input (1 MiB for a complex128 one)
 _BLOCK = 1 << 16
 
 
@@ -68,7 +68,9 @@ def as_array(x, dtype, name, error=InputDomainError):
         raise error(f"{name} must be numeric") from exc
     if arr.dtype != dtype:      # complex, left unconverted
         raise error(f"{name} must be real-valued")
-    if not np.isfinite(arr).all():
+    # complex values are tested as their float64 pairs, at about half the cost
+    parts = arr.ravel().view(np.float64) if arr.dtype == np.complex128 else arr
+    if not np.isfinite(parts).all():
         raise error(f"{name} must be finite (no NaN/Inf)")
     return arr
 
@@ -90,40 +92,42 @@ class typed_float_errors(np.errstate):
             raise self.error(f"no finite binary64 value for this input ({exc})") from exc
 
 
-def in_blocks(flat, fn):
-    """Complex128 values of ``fn`` on ``flat`` in blocks of at most ``_BLOCK`` points."""
-    if 0 < flat.size <= _BLOCK:
-        return np.asarray(fn(flat), dtype=np.complex128)
+def in_blocks(flat, masks, fns):
+    """Complex128 values on ``flat``: each block of at most ``_BLOCK`` points
+    goes through :func:`dispatch` into its slice of the result, split among
+    the branches ``fns`` by ``masks(block)``, one mask per branch.
+    """
     out = np.empty(flat.shape, dtype=np.complex128)
     for s in range(0, flat.size, _BLOCK):
-        out[s:s + _BLOCK] = fn(flat[s:s + _BLOCK])
+        block = flat[s:s + _BLOCK]
+        dispatch(block, tuple(zip(masks(block), fns, strict=True)), out[s:s + _BLOCK])
     return out
 
 
-def dispatch(flat, branches):
+def dispatch(flat, branches, out=None):
     """Evaluate each branch on its own points; scatter the complex results back.
 
-    The evaluators call it from the per-block function they give
-    :func:`in_blocks`, with that block's masks; there ``flat`` holds at
-    most ``_BLOCK`` points.
-
     ``branches`` holds ``(mask, fn)`` pairs whose boolean masks, shaped like
-    ``flat``, partition it.  ``fn`` maps the selected points to a new array
-    of their values and is called only for a branch that selects at least
-    one point.  Callers build ``branches`` on each call, reading module
-    globals then, so that a module attribute rebound at run time (a
-    profiler's wrapper) is used; that holds for a function passed directly,
-    as ``oracle._reference_block`` passes ``_series_values``, as for a lambda.
+    ``flat`` (or ``np.True_`` for all of it), partition it.  ``fn`` maps the
+    selected points to a new array of their values and is called only for a
+    branch that selects at least one point.  The values go into ``out`` (by
+    default a new complex128 array), which is returned.  Callers build
+    ``branches`` on each call, reading module globals then, so that a module
+    attribute rebound at run time (a profiler's wrapper) is used, also for a
+    function passed directly.
 
     When one mask selects every point of a non-empty ``flat``, that branch
-    gets ``flat`` itself, with no gather or scatter, and its result is
-    returned as complex128.  ``flat`` may then be the caller's own array, so
-    a branch must never write to its argument.
+    gets ``flat`` itself, with no gather or scatter; without ``out`` its
+    result is returned as complex128.  ``flat`` may then be the caller's own
+    array, so a branch must never write to its argument.
     """
     for mask, fn in branches:
         if flat.size and mask.all():
-            return np.asarray(fn(flat), dtype=np.complex128)
-    out = np.empty(flat.shape, dtype=np.complex128)
+            if out is None:
+                return np.asarray(fn(flat), dtype=np.complex128)
+            out[...] = fn(flat)
+            return out
+    out = np.empty(flat.shape, dtype=np.complex128) if out is None else out
     for mask, fn in branches:
         if mask.any():
             out[mask] = fn(flat[mask])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import (
-    as_array, dispatch, in_blocks, option, positive, restore_shape, typed_float_errors,
+    as_array, in_blocks, option, positive, restore_shape, typed_float_errors,
 )
 from .exceptions import InputDomainError
 
@@ -241,17 +241,18 @@ def fadsamp(z, coeffs=None):
     zz = as_array(z, np.complex128, "z")
     if np.any(zz.imag < 0):
         raise InputDomainError("fadsamp requires Im z >= 0")
+    return restore_shape(in_blocks(zz.ravel(), _masks, (
+        lambda v: w_sampling(v, co),
+        lambda v: w_symmetrized(v, co),
+        lambda v: w_continued_fraction(v, 11),
+    )), zz)
 
-    def block(flat):
-        inner = np.abs(flat) <= 8.0
-        use_sampling = inner & (flat.imag > 0.05 * flat.real)
-        return dispatch(flat, (
-            (use_sampling, lambda v: w_sampling(v, co)),
-            (inner & ~use_sampling, lambda v: w_symmetrized(v, co)),
-            (~inner, lambda v: w_continued_fraction(v, 11)),
-        ))
 
-    return restore_shape(in_blocks(zz.ravel(), block), zz)
+def _masks(flat):
+    """Mask each :func:`fadsamp` branch: sampling, symmetrized, continued fraction."""
+    inner = np.abs(flat) <= 8.0
+    use_sampling = inner & (flat.imag > 0.05 * flat.real)
+    return use_sampling, inner & ~use_sampling, ~inner
 
 
 def w_simple_rational(z):

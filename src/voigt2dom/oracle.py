@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import as_array, dispatch, in_blocks, positive, restore_shape
+from ._common import as_array, in_blocks, positive, restore_shape
 from .core import w_continued_fraction
 from .exceptions import InputDomainError, OracleDomainError, ParameterError
 from .trapezoid import TrapParams, wtrap
@@ -86,20 +86,19 @@ def reference_values(z):
     zz = as_array(z, np.complex128, "z")
     if np.any(zz.imag <= 0):
         raise OracleDomainError("reference is validated for Im z > 0 only")
-    return restore_shape(in_blocks(zz.ravel(), _reference_block), zz)
+    return restore_shape(in_blocks(zz.ravel(), _masks, (
+        _series_values,
+        lambda v: wtrap(v, _TRAP24),
+        lambda v: w_continued_fraction(v, 16),
+    )), zz)
 
 
-def _reference_block(flat):
-    """Reference values of one block, each point by its region's method."""
+def _masks(flat):
+    """Check the points ``flat`` against the validated radius and mask each region."""
     r = np.abs(flat)
     if np.any(r > _MAX_RADIUS):
         raise OracleDomainError(f"reference is validated for |z| <= {_MAX_RADIUS:g}")
-    series, trap, cf = _region_masks(r)
-    return dispatch(flat, (
-        (series, _series_values),
-        (trap, lambda v: wtrap(v, _TRAP24)),
-        (cf, lambda v: w_continued_fraction(v, 16)),
-    ))
+    return _region_masks(r)
 
 
 def w_reference(z):

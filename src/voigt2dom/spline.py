@@ -70,9 +70,11 @@ class CubicSpline:
     ``right_value`` is the data value at the last knot, kept so queries
     landing exactly on it are returned without polynomial rounding.
     ``index`` is the knots' :class:`BucketIndex`, built on construction.
-    Construction keeps a read-only copy of the knots; bad knots or a coeffs
-    shape other than (4, n-1) raise :class:`SplineConstructionError`.  A
-    spline equals only itself.
+    Construction keeps a read-only copy of the knots and converts ``coeffs``
+    and ``right_value`` to complex; bad knots, a ``coeffs`` or
+    ``right_value`` with no complex conversion or a NaN or Inf in them, a
+    coeffs shape other than (4, n-1) or a non-scalar ``right_value`` raise
+    :class:`SplineConstructionError`.  A spline equals only itself.
     """
 
     knots: np.ndarray
@@ -84,10 +86,16 @@ class CubicSpline:
         k = as_array(self.knots, np.float64, "knots", SplineConstructionError).copy()
         if k.ndim != 1 or k.size < 2 or not (k[:-1] < k[1:]).all():
             raise SplineConstructionError("knots must be 1-d, strictly increasing and at least 2")
-        if np.shape(self.coeffs) != (4, k.size - 1):
+        c = as_array(self.coeffs, np.complex128, "coeffs", SplineConstructionError)
+        if c.shape != (4, k.size - 1):
             raise SplineConstructionError(f"coeffs must have shape (4, {k.size - 1})")
+        v = as_array(self.right_value, np.complex128, "right_value", SplineConstructionError)
+        if v.ndim:
+            raise SplineConstructionError("right_value must be a scalar")
         k.flags.writeable = False
         object.__setattr__(self, "knots", k)
+        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "right_value", complex(v))
         object.__setattr__(self, "index", _bucket_index(k))
 
 

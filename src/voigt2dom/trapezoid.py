@@ -239,16 +239,11 @@ def wtrap(z, params=None):
     """
     p = option(params, _DEFAULT_PARAMS, "params")
     zz = _as_z(z)
-
-    def block(flat):
-        b1, b2, b3 = _masks(flat, p)
-        return dispatch(flat, (
-            (b1, lambda v: wtrap_midpoint(v, p)),
-            (b2, lambda v: wtrap_offset(v, p)),
-            (b3, lambda v: wtrap_corrected(v, p)),
-        ))
-
-    return restore_shape(in_blocks(zz.ravel(), block), zz)
+    return restore_shape(in_blocks(zz.ravel(), lambda flat: _masks(flat, p), (
+        lambda v: wtrap_midpoint(v, p),
+        lambda v: wtrap_offset(v, p),
+        lambda v: wtrap_corrected(v, p),
+    )), zz)
 
 
 def wtrap_branches(z, params=None):

@@ -30,7 +30,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from ._common import _BLOCK, as_array, dispatch, in_blocks, option, positive, restore_shape
+from ._common import _BLOCK, as_array, in_blocks, option, positive, restore_shape
 from .core import SQRT_PI, fadsamp, w_cf_external
 from .exceptions import (
     DefaultOptionNotice,
@@ -163,9 +163,9 @@ class TwoDomainEvaluator:
     except within an ulp of the seam, where both branches are accurate.
 
     A call runs the shared block loop :func:`voigt2dom._common.in_blocks`
-    over blocks of ``_BLOCK`` abscissas and projects the result.  Its
-    per-block function sends a bypass block to the generator and splits any
-    other block on ``edge``.
+    over blocks of ``_BLOCK`` abscissas and projects the result.  A bypass
+    call sends each whole block to the generator; any other call splits each
+    block on ``edge``.
 
     Parameters
     ----------
@@ -216,19 +216,21 @@ class TwoDomainEvaluator:
         """Evaluate at abscissas ``xs``; see :func:`evaluate`."""
         opt = _output_option(opt)
         xq = as_array(xs, np.float64, "xs")
-        w = in_blocks(xq.ravel(), self._block)
+        if self.bypass:     # each whole block goes to the generator
+            w = in_blocks(xq.ravel(), lambda x: (np.True_,),
+                          (lambda x: self.generator(x + 1j * self.y),))
+        else:
+            w = in_blocks(xq.ravel(), self._masks, (self._interior, self._exterior))
         if opt is OutputOption.REAL_PART:
             w = np.ascontiguousarray(w.real)
         elif opt is OutputOption.IMAG_PART:
             w = np.ascontiguousarray(w.imag)
         return restore_shape(w, xq)
 
-    def _block(self, x):
-        """One block of abscissas: the generator on the bypass, else the disk test."""
-        if self.bypass:
-            return self.generator(x + 1j * self.y)
+    def _masks(self, x):
+        """Mask the interior and exterior points of a block off the bypass."""
         internal = np.abs(x) <= self.edge
-        return dispatch(x, ((internal, self._interior), (~internal, self._exterior)))
+        return internal, ~internal
 
     def _interior(self, x):
         """Spline values inside the disk, with exp(-x**2) added back if subtracted."""

@@ -1,9 +1,13 @@
-"""The companions work in blocks of at most ``_BLOCK`` points, as the evaluator does."""
+"""Every dispatching evaluator works in blocks of at most ``_BLOCK`` points
+and sends each point to the branch its mask function chooses."""
 
 import numpy as np
 import pytest
 
-from voigt2dom import core, fadsamp, oracle, reference_values, trapezoid, wtrap
+from voigt2dom import (
+    TwoDomainEvaluator, core, fadsamp, oracle, reference_values, trapezoid, twodomain, wtrap,
+    wtrap_branches,
+)
 from voigt2dom._common import _BLOCK
 
 # evaluator -> (module whose globals it reaches its branches through, branch names)
@@ -56,3 +60,39 @@ def test_blocks_do_not_change_values(points, name):
     assert np.array_equal(w, pieces)
     p = np.random.default_rng(1).permutation(points.size)
     assert np.array_equal(fn(points[p]), w[p])
+
+
+def _returns_index(i):
+    return lambda v, *args: np.full(v.shape, i, dtype=complex)
+
+
+def _chosen(masks):
+    """Index of the one mask that selects each point."""
+    masks = np.array(masks)
+    assert (masks.sum(axis=0) == 1).all(), "masks must partition"
+    return np.argmax(masks, axis=0)
+
+
+@pytest.mark.parametrize("name", list(_BRANCHES))
+def test_each_point_takes_the_branch_its_masks_choose(monkeypatch, points, name):
+    fn, module, branches = _BRANCHES[name]
+    for i, b in enumerate(branches):
+        monkeypatch.setattr(module, b, _returns_index(i))
+    if fn is wtrap:
+        expected = wtrap_branches(points) - 1
+    else:
+        expected = _chosen(module._masks(points))
+    assert np.all(np.bincount(expected, minlength=len(branches)) > 0)
+    assert np.array_equal(fn(points), expected)
+
+
+@pytest.mark.parametrize("y", [0.3, 2.0])
+def test_two_domain_points_take_the_branch_its_masks_choose(monkeypatch, y):
+    # y >= 0.25: no Gaussian is added back to the interior branch's values
+    monkeypatch.setattr(twodomain, "eval_spline", lambda spline, x: _returns_index(0)(x))
+    monkeypatch.setattr(twodomain, "w_cf_external", _returns_index(1))
+    xs = np.random.default_rng(5).uniform(-40.0, 40.0, 3 * _BLOCK + 17)
+    ev = TwoDomainEvaluator(y)
+    expected = _chosen(ev._masks(xs))
+    assert np.all(np.bincount(expected, minlength=2) > 0)
+    assert np.array_equal(ev(xs, opt=3), expected)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from voigt2dom import TwoDomainEvaluator, fadsamp, reference_values, wtrap
-from voigt2dom._common import dispatch
+from voigt2dom._common import _BLOCK, dispatch, in_blocks
 
 
 def _recording(calls, name, fn):
@@ -48,6 +48,39 @@ def test_result_is_a_writable_complex128_array(split):
     out = dispatch(flat, ((first, lambda v: v + 1.0), (~first, lambda v: v * 1j)))
     assert out.dtype == np.complex128 and out.flags.writeable
     assert np.array_equal(out, np.where(first, flat + 1.0, flat * 1j))
+
+
+@pytest.mark.parametrize("split", [0, 4, 9])
+def test_values_go_into_the_given_output(split):
+    flat = np.linspace(-2.0, 2.0, 9)
+    first = np.arange(flat.size) < split
+    whole = np.full(11, 5j)
+    out = dispatch(flat, ((first, lambda v: v + 1.0), (~first, lambda v: v * 1j)), whole[1:10])
+    assert out.base is whole
+    assert np.array_equal(whole[1:10], np.where(first, flat + 1.0, flat * 1j))
+    assert whole[0] == whole[10] == 5j
+
+
+def test_in_blocks_hands_each_block_its_masks():
+    flat = np.arange(2 * _BLOCK + 3, dtype=float)
+    seen = []
+
+    def masks(block):
+        seen.append(block.size)
+        even = block % 2 == 0
+        return even, ~even
+
+    out = in_blocks(flat, masks, (lambda v: v, lambda v: -v))
+    assert seen == [_BLOCK, _BLOCK, 3]
+    assert out.dtype == np.complex128
+    assert np.array_equal(out, np.where(flat % 2 == 0, flat, -flat))
+    assert in_blocks(flat[:0], masks, ()).shape == (0,) and len(seen) == 3
+
+
+def test_in_blocks_wants_one_mask_per_branch():
+    flat = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ValueError):
+        in_blocks(flat, lambda b: (b > 0,), (np.negative, np.positive))
 
 
 _X = np.linspace(-3.0, 3.0, 257)

@@ -88,6 +88,30 @@ class TestDirectConstruction:
         with pytest.raises(SplineConstructionError):
             CubicSpline(knots, np.zeros(coeffs_shape, dtype=complex), 0j)
 
+    @pytest.mark.parametrize("coeffs", [
+        np.full((4, 2), 0.5),                       # real: the right end used to raise TypeError
+        np.full((4, 2), 0.5).tolist(),             # a list: gathers used to raise TypeError
+    ])
+    def test_real_or_list_coeffs_evaluate(self, coeffs):
+        s = CubicSpline([0.0, 1, 2], coeffs, 0j)
+        assert s.coeffs.dtype == np.complex128 and type(s.right_value) is complex
+        w = eval_spline(s, [0.0, 1.5, 2.0])
+        assert np.array_equal(w, [0.5, 0.5 + 0.5 * (0.5 + 0.25 + 0.125), 0.0])
+
+    @pytest.mark.parametrize("coeffs, right_value", [
+        ([["a", "b"]] * 4, 0j),
+        ({}, 0j),
+        (np.zeros((4, 2)), "a"),
+        (np.zeros((4, 2)), [1.0, 2.0]),             # not a scalar
+        ([[None] * 2] * 4, 0j),                     # None converts to NaN
+        (np.zeros((4, 2)), None),
+        (np.full((4, 2), np.nan), 0j),
+        (np.zeros((4, 2)), complex(np.inf)),
+    ])
+    def test_non_numeric_or_nonfinite_coeffs_or_right_value_raise(self, coeffs, right_value):
+        with pytest.raises(SplineConstructionError):
+            CubicSpline([0.0, 1, 2], coeffs, right_value)
+
     def test_knots_are_a_read_only_copy(self):
         knots = np.array([0.0, 1.0, 3.0])
         s = CubicSpline(knots, np.zeros((4, 2), dtype=complex), 0j)
@@ -147,10 +171,9 @@ class TestEvaluation:
         with pytest.raises(ExtrapolationError):
             eval_spline(s, [np.nan])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, None])
     def test_nonfinite_among_valid_queries_rejected(self, bad):
-        # one range check covers non-finite queries: NaN propagates through
-        # min/max and fails the comparison, +-inf lie outside the knots
+        # None converts to NaN, so the finite test rejects it with the rest
         s = build_spline([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 0.5, 1.5])
         with pytest.raises(ExtrapolationError):
             eval_spline(s, [0.5, bad, 2.5])
