@@ -1,10 +1,10 @@
-"""Shared input coercion, block loop, branch dispatch and the shape/scalar convention.
+"""Shared input coercion, block splitter and the shape/scalar convention.
 
 Every array argument goes through :func:`as_array`, which raises the
 caller's typed error for a bad one.  An evaluator whose points take
 different formulas flattens the array with ``arr.ravel()`` and hands it to
-:func:`in_blocks` with its mask function and branches; :func:`dispatch`
-writes each block's values into its slice of the call's one output, so every
+:func:`in_blocks`, the one splitter, with its mask function and branches:
+each block's values go into its slice of the call's one output, so every
 temporary is sized by the block however long the input is.  Every result goes
 back through :func:`restore_shape`: an array input gives an array of the
 same shape, and a scalar input a Python ``complex``, ``float`` or ``int``.
@@ -93,44 +93,27 @@ class typed_float_errors(np.errstate):
 
 
 def in_blocks(flat, masks, fns):
-    """Complex128 values on ``flat``: each block of at most ``_BLOCK`` points
-    goes through :func:`dispatch` into its slice of the result, split among
-    the branches ``fns`` by ``masks(block)``, one mask per branch.
+    """Complex128 values of the branches ``fns`` on the 1-D points ``flat``.
+
+    Each block of at most ``_BLOCK`` points is split by ``masks(block)``, one
+    boolean mask per branch (``np.True_`` for the whole block); the masks
+    partition the block, and a mask function that finds a bad point raises.
+    A branch maps its selected points to a new array of their values, which
+    goes into the block's slice of the one output.  A branch is called only
+    for a mask that selects some point, and a mask that selects the whole
+    block hands it the block itself, a view of ``flat``, with no gather or
+    scatter: a branch must never write to its argument.  Callers build
+    ``fns`` on each call, reading module globals then, so that a module
+    attribute rebound at run time (a profiler's wrapper) is used.
     """
     out = np.empty(flat.shape, dtype=np.complex128)
     for s in range(0, flat.size, _BLOCK):
-        block = flat[s:s + _BLOCK]
-        dispatch(block, tuple(zip(masks(block), fns, strict=True)), out[s:s + _BLOCK])
-    return out
-
-
-def dispatch(flat, branches, out=None):
-    """Evaluate each branch on its own points; scatter the complex results back.
-
-    ``branches`` holds ``(mask, fn)`` pairs whose boolean masks, shaped like
-    ``flat`` (or ``np.True_`` for all of it), partition it.  ``fn`` maps the
-    selected points to a new array of their values and is called only for a
-    branch that selects at least one point.  The values go into ``out`` (by
-    default a new complex128 array), which is returned.  Callers build
-    ``branches`` on each call, reading module globals then, so that a module
-    attribute rebound at run time (a profiler's wrapper) is used, also for a
-    function passed directly.
-
-    When one mask selects every point of a non-empty ``flat``, that branch
-    gets ``flat`` itself, with no gather or scatter; without ``out`` its
-    result is returned as complex128.  ``flat`` may then be the caller's own
-    array, so a branch must never write to its argument.
-    """
-    for mask, fn in branches:
-        if flat.size and mask.all():
-            if out is None:
-                return np.asarray(fn(flat), dtype=np.complex128)
-            out[...] = fn(flat)
-            return out
-    out = np.empty(flat.shape, dtype=np.complex128) if out is None else out
-    for mask, fn in branches:
-        if mask.any():
-            out[mask] = fn(flat[mask])
+        block, dest = flat[s:s + _BLOCK], out[s:s + _BLOCK]
+        for mask, fn in tuple(zip(masks(block), fns, strict=True)):
+            if mask.all():
+                dest[...] = fn(block)
+            elif mask.any():
+                dest[mask] = fn(block[mask])
     return out
 
 

@@ -239,8 +239,6 @@ def fadsamp(z, coeffs=None):
     """
     co = option(coeffs, _DEFAULT_COEFFS, "coeffs")
     zz = as_array(z, np.complex128, "z")
-    if np.any(zz.imag < 0):
-        raise InputDomainError("fadsamp requires Im z >= 0")
     return restore_shape(in_blocks(zz.ravel(), _masks, (
         lambda v: w_sampling(v, co),
         lambda v: w_symmetrized(v, co),
@@ -249,7 +247,9 @@ def fadsamp(z, coeffs=None):
 
 
 def _masks(flat):
-    """Mask each :func:`fadsamp` branch: sampling, symmetrized, continued fraction."""
+    """Check ``flat``; mask the sampling, symmetrized and continued-fraction branches."""
+    if np.any(flat.imag < 0):
+        raise InputDomainError("fadsamp requires Im z >= 0")
     inner = np.abs(flat) <= 8.0
     use_sampling = inner & (flat.imag > 0.05 * flat.real)
     return use_sampling, inner & ~use_sampling, ~inner

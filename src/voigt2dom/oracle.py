@@ -74,18 +74,9 @@ def _series_values(z):
     return total.astype(np.complex128)
 
 
-def _region_masks(r):
-    series = r <= _SERIES_RADIUS
-    cf = r >= _CF_RADIUS
-    trap = ~(series | cf)
-    return series, trap, cf
-
-
 def reference_values(z):
     """Vectorized reference evaluation; returns the complex values only."""
     zz = as_array(z, np.complex128, "z")
-    if np.any(zz.imag <= 0):
-        raise OracleDomainError("reference is validated for Im z > 0 only")
     return restore_shape(in_blocks(zz.ravel(), _masks, (
         _series_values,
         lambda v: wtrap(v, _TRAP24),
@@ -94,11 +85,15 @@ def reference_values(z):
 
 
 def _masks(flat):
-    """Check the points ``flat`` against the validated radius and mask each region."""
+    """Check the points ``flat`` against the validated domain and mask each region."""
+    if np.any(flat.imag <= 0):
+        raise OracleDomainError("reference is validated for Im z > 0 only")
     r = np.abs(flat)
     if np.any(r > _MAX_RADIUS):
         raise OracleDomainError(f"reference is validated for |z| <= {_MAX_RADIUS:g}")
-    return _region_masks(r)
+    series = r <= _SERIES_RADIUS
+    cf = r >= _CF_RADIUS
+    return series, ~(series | cf), cf
 
 
 def w_reference(z):
@@ -118,7 +113,7 @@ def w_reference(z):
     if zz.ndim:
         raise InputDomainError("w_reference takes one point; use reference_values for arrays")
     value = reference_values(zz)
-    series, trap, _ = _region_masks(np.abs(zz))
+    series, trap, _ = _masks(zz)
     region = "series" if series else "trap" if trap else "cf"
     return OracleResult(value, _calibration()[region], region)
 

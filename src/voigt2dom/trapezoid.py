@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import (
-    as_array, dispatch, in_blocks, option, positive, restore_shape, typed_float_errors,
+    as_array, in_blocks, option, positive, restore_shape, typed_float_errors,
 )
 from .exceptions import InputDomainError, PoleProximityError
 
@@ -120,8 +120,11 @@ def _residue_correction(zz, h, sign):
         s = k * v
         return 2.0 * np.exp(-v * v - s) / (sign + np.exp(-s))
 
-    is_small = c * y <= _EXP_SWITCH
-    return dispatch(zz, ((is_small, small), (~is_small, big)))
+    def masks(v):
+        is_small = c * v.imag <= _EXP_SWITCH
+        return is_small, ~is_small
+
+    return in_blocks(zz.ravel(), masks, (small, big)).reshape(zz.shape)
 
 
 def _as_z(z):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from voigt2dom import (
-    TwoDomainEvaluator, core, fadsamp, oracle, reference_values, trapezoid, twodomain, wtrap,
-    wtrap_branches,
+    InputDomainError, OracleDomainError, TwoDomainEvaluator, core, fadsamp, oracle,
+    reference_values, trapezoid, twodomain, wtrap, wtrap_branches,
 )
 from voigt2dom._common import _BLOCK
 
@@ -96,3 +96,19 @@ def test_two_domain_points_take_the_branch_its_masks_choose(monkeypatch, y):
     expected = _chosen(ev._masks(xs))
     assert np.all(np.bincount(expected, minlength=2) > 0)
     assert np.array_equal(ev(xs, opt=3), expected)
+
+
+# each evaluator's mask function checks every block, the last one too
+@pytest.mark.parametrize("fn, bad, error", [
+    (fadsamp, 1.0 - 1e-300j, InputDomainError),
+    (wtrap, 1.0 - 1j, InputDomainError),
+    (wtrap, 1.0 + 0j, InputDomainError),
+    (reference_values, 1.0 - 1j, OracleDomainError),
+    (reference_values, 1.0 + 0j, OracleDomainError),
+    (reference_values, 2e4j, OracleDomainError),
+])
+def test_a_bad_point_in_the_last_block_raises(points, fn, bad, error):
+    z = points.copy()
+    z[-1] = bad
+    with pytest.raises(error):
+        fn(z)

@@ -1,10 +1,10 @@
-"""Tests for the branch-dispatch contract shared by the multi-branch evaluators."""
+"""Tests for the block splitter shared by the multi-branch evaluators."""
 
 import numpy as np
 import pytest
 
 from voigt2dom import TwoDomainEvaluator, fadsamp, reference_values, wtrap
-from voigt2dom._common import _BLOCK, dispatch, in_blocks
+from voigt2dom._common import _BLOCK, in_blocks
 
 
 def _recording(calls, name, fn):
@@ -17,10 +17,9 @@ def _recording(calls, name, fn):
 
 def test_empty_input_calls_no_branch():
     calls = []
-    flat = np.empty(0)
-    out = dispatch(flat, (
-        (flat > 0, _recording(calls, "a", np.negative)),
-        (flat <= 0, _recording(calls, "b", np.negative)),
+    out = in_blocks(np.empty(0), lambda b: (b > 0, b <= 0), (
+        _recording(calls, "a", np.negative),
+        _recording(calls, "b", np.negative),
     ))
     assert calls == []
     assert out.shape == (0,) and out.dtype == np.complex128
@@ -28,37 +27,35 @@ def test_empty_input_calls_no_branch():
 
 @pytest.mark.parametrize("whole", [0, 1, 2])
 def test_branch_selecting_every_point_is_the_only_call(whole):
-    calls = []
     flat = np.linspace(-2.0, 2.0, 9)
     every = np.ones(flat.shape, dtype=bool)
-    branches = tuple(
-        (every if b == whole else ~every, _recording(calls, b, lambda v: 2.0 * v))
-        for b in range(3)
-    )
-    out = dispatch(flat, branches)
-    assert len(calls) == 1
-    assert calls[0][0] == whole and calls[0][1] is flat
-    assert np.array_equal(out, 2.0 * flat)
+    for all_of, none_of in ((every, ~every), (np.True_, np.False_)):
+        calls = []
+        out = in_blocks(
+            flat,
+            lambda b: tuple(all_of if i == whole else none_of for i in range(3)),
+            tuple(_recording(calls, i, lambda v: 2.0 * v) for i in range(3)),
+        )
+        assert len(calls) == 1
+        assert calls[0][0] == whole and np.shares_memory(calls[0][1], flat)
+        assert np.array_equal(out, 2.0 * flat)
 
 
 @pytest.mark.parametrize("split", [0, 4, 9])
 def test_result_is_a_writable_complex128_array(split):
     flat = np.linspace(-2.0, 2.0, 9)
     first = np.arange(flat.size) < split
-    out = dispatch(flat, ((first, lambda v: v + 1.0), (~first, lambda v: v * 1j)))
+    out = in_blocks(flat, lambda b: (first, ~first), (lambda v: v + 1.0, lambda v: v * 1j))
     assert out.dtype == np.complex128 and out.flags.writeable
     assert np.array_equal(out, np.where(first, flat + 1.0, flat * 1j))
 
 
-@pytest.mark.parametrize("split", [0, 4, 9])
-def test_values_go_into_the_given_output(split):
-    flat = np.linspace(-2.0, 2.0, 9)
-    first = np.arange(flat.size) < split
-    whole = np.full(11, 5j)
-    out = dispatch(flat, ((first, lambda v: v + 1.0), (~first, lambda v: v * 1j)), whole[1:10])
-    assert out.base is whole
-    assert np.array_equal(whole[1:10], np.where(first, flat + 1.0, flat * 1j))
-    assert whole[0] == whole[10] == 5j
+# the first branch takes no block, a whole block or part of one, in each block
+@pytest.mark.parametrize("split", [0, _BLOCK + 5, 2 * _BLOCK + 3])
+def test_each_block_writes_its_slice(split):
+    flat = np.arange(2 * _BLOCK + 9, dtype=float)
+    out = in_blocks(flat, lambda b: (b < split, b >= split), (lambda v: v + 1.0, lambda v: v * 1j))
+    assert np.array_equal(out, np.where(flat < split, flat + 1.0, flat * 1j))
 
 
 def test_in_blocks_hands_each_block_its_masks():
@@ -81,6 +78,9 @@ def test_in_blocks_wants_one_mask_per_branch():
     flat = np.linspace(-1.0, 1.0, 5)
     with pytest.raises(ValueError):
         in_blocks(flat, lambda b: (b > 0,), (np.negative, np.positive))
+    # also when the one mask covers the whole block
+    with pytest.raises(ValueError):
+        in_blocks(flat, lambda b: (b > -2.0,), (np.negative, np.positive))
 
 
 _X = np.linspace(-3.0, 3.0, 257)

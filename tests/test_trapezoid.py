@@ -20,7 +20,7 @@ from voigt2dom import (
     wtrap_midpoint,
     wtrap_offset,
 )
-from voigt2dom.trapezoid import _residue_correction
+from voigt2dom.trapezoid import _EXP_SWITCH, _residue_correction
 
 
 class TestTrapParams:
@@ -296,3 +296,17 @@ class TestOverflowSafety:
         z = np.array([900 + 800j])
         corr = _residue_correction(z, TrapParams().h, +1.0)
         assert corr[0] == 0.0
+
+    @pytest.mark.parametrize("rule", [wtrap_corrected, wtrap_offset])
+    def test_both_correction_forms_in_one_call(self, rng, rule):
+        # y on both sides of the switch c y = 700 (y ~ 57.0), with
+        # x^2 = y^2 - c y + u: the residue term is about 2 e**-u, nonzero,
+        # and the domain test y (y - c) >= x^2 never fires
+        c = 2.0 * math.pi / TrapParams().h
+        y = rng.uniform(20.0, 100.0, (8, 25))
+        x = np.sqrt(y * y - c * y + rng.uniform(50.0, 650.0, y.shape))
+        z = rng.choice([-1.0, 1.0], y.shape) * x + 1j * y
+        assert (c * y <= _EXP_SWITCH).any() and (c * y > _EXP_SWITCH).any()
+        w = rule(z)
+        assert w.shape == z.shape
+        assert np.array_equal(w, np.array([rule(complex(v)) for v in z.ravel()]).reshape(z.shape))
