@@ -18,6 +18,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from ._common import as_array, in_blocks, positive, restore_shape
 from .core import w_continued_fraction
@@ -65,13 +66,8 @@ class OracleResult:
 
 
 def _series_values(z):
-    """Maclaurin series by one Horner pass in extended precision; valid for |z| <= 2.1."""
-    u = 1j * z.astype(_CLD)
-    total = np.full(z.shape, _INV_GAMMA[-1], dtype=_CLD)
-    for c in _INV_GAMMA[-2::-1]:
-        total *= u
-        total += c
-    return total.astype(np.complex128)
+    """Maclaurin series by ``polyval``'s Horner pass in extended precision; valid for |z| <= 2.1."""
+    return polyval(1j * z.astype(_CLD), _INV_GAMMA).astype(np.complex128)
 
 
 def reference_values(z):

@@ -55,20 +55,17 @@ class TrapParams:
 _DEFAULT_PARAMS = TrapParams()
 
 
-def _lattice(p, first, shift):
-    """Squared nodes t_k = (k + shift) h, k = first..N, and their weights exp(-t_k^2)."""
-    t = (np.arange(first, p.N + 1) + shift) * p.h
-    t2 = t * t
-    return t2, np.exp(-t2)
+def _node_sum(zz, p, first, shift):
+    """``(2 i h / pi) z sum_{k=first..N} e^{-t_k^2} / (z^2 - t_k^2)`` with t_k = (k + shift) h.
 
-
-def _pole_sum(z2, nodes2, weights):
-    """sum_k w_k / (z^2 - t_k^2), raising where some |z^2 - t_k^2| < 1e-290.
-
-    As t_k^2 > 0, the rounded ``Re z^2 - t_k^2`` is 0 or far above 1e-290
-    (exact near t_k^2 by Sterbenz, else >= t_k^2 / 2), and the imaginary part
-    is ``Im z^2``: one exact test per call stands for a test per term.
+    Raises where some ``|z^2 - t_k^2| < 1e-290``.  As t_k^2 > 0, the rounded
+    ``Re z^2 - t_k^2`` is 0 or far above 1e-290 (exact near t_k^2 by
+    Sterbenz, else >= t_k^2 / 2), and the imaginary part is ``Im z^2``: one
+    exact test per call stands for a test per term.
     """
+    t = (np.arange(first, p.N + 1) + shift) * p.h
+    nodes2 = t * t
+    z2 = zz * zz
     near = np.abs(z2.imag) < _POLE_TOL
     if near.any() and np.isin(z2.real[near], nodes2).any():
         raise PoleProximityError(
@@ -76,11 +73,11 @@ def _pole_sum(z2, nodes2, weights):
         )
     acc = np.zeros_like(z2)
     den = np.empty_like(z2)
-    for t2, w in zip(nodes2, weights):
+    for t2, w in zip(nodes2, np.exp(-nodes2)):
         np.subtract(z2, t2, out=den)
         np.divide(w, den, out=den)
         acc += den
-    return acc
+    return (2j * p.h / math.pi) * zz * acc
 
 
 def _residue_correction(zz, h, sign):
@@ -150,16 +147,17 @@ def wtrap_midpoint(z, params=None):
     p = option(params, _DEFAULT_PARAMS, "params")
     zz = _as_z(z)
     with typed_float_errors():
-        out = (2j * p.h / math.pi) * zz * _pole_sum(zz * zz, *_lattice(p, 0, 0.5))
+        out = _node_sum(zz, p, 0, 0.5)
     return restore_shape(out, zz)
 
 
 def wtrap_corrected(z, params=None):
-    """Midpoint rule plus the residue correction ``2 e^{-z^2} / (1 + e^{-2 i pi z / h})``.
+    """Midpoint sum plus the residue correction ``2 e^{-z^2} / (1 + e^{-2 i pi z / h})``.
 
-    The fallback formula of the :func:`wtrap` dispatch.  On the real axis the
-    correction contributes exactly ``e^{-x^2}`` to the real part, so the Voigt
-    function stays relatively accurate down to y -> 0+.  Raises
+    The midpoint sum is :func:`wtrap_midpoint`'s, and this is the fallback
+    formula of the :func:`wtrap` dispatch.  On the real axis the correction
+    contributes exactly ``e^{-x^2}`` to the real part, so the Voigt function
+    stays relatively accurate down to y -> 0+.  Raises
     :class:`InputDomainError` for ``|z| > 1e154``.
 
     Domain: accurate, away from the poles at z = t_k, where ``y < pi/h`` or
@@ -171,8 +169,7 @@ def wtrap_corrected(z, params=None):
     p = option(params, _DEFAULT_PARAMS, "params")
     zz = _as_z(z)
     with typed_float_errors():
-        corr = _residue_correction(zz, p.h, +1.0)
-        out = corr + (2j * p.h / math.pi) * zz * _pole_sum(zz * zz, *_lattice(p, 0, 0.5))
+        out = _residue_correction(zz, p.h, +1.0) + _node_sum(zz, p, 0, 0.5)
     return restore_shape(out, zz)
 
 
@@ -199,7 +196,7 @@ def wtrap_offset(z, params=None):
         out = (
             _residue_correction(zz, p.h, -1.0)
             + (1j * p.h / math.pi) / zz
-            + (2j * p.h / math.pi) * zz * _pole_sum(zz * zz, *_lattice(p, 1, 0.0))
+            + _node_sum(zz, p, 1, 0.0)
         )
     return restore_shape(out, zz)
 
@@ -254,7 +251,4 @@ def wtrap_branches(z, params=None):
     p = option(params, _DEFAULT_PARAMS, "params")
     zz = _as_z(z)
     b1, b2, _ = _masks(zz.ravel(), p)
-    out = np.full(zz.size, 3, dtype=np.int64)
-    out[b2] = 2
-    out[b1] = 1
-    return restore_shape(out, zz)
+    return restore_shape(np.select([b1, b2], [1, 2], 3), zz)

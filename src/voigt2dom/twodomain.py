@@ -174,10 +174,11 @@ class TwoDomainEvaluator:
     generator : callable, optional
         Evaluator supplying node values (and the small-y bypass); must map a
         complex ndarray to ``w`` itself, because the knot slopes are derived
-        from its values through the differential equation.  It is called
-        once per build, on the grid's non-negative half; the negative half
-        takes the conjugate mirror of those values.  Defaults to
-        :func:`voigt2dom.core.fadsamp`.
+        from its values through the differential equation.  It must return
+        numeric values of its argument's shape, all finite; anything else
+        raises :class:`ParameterError`.  It is called once per build, on the
+        grid's non-negative half; the negative half takes the conjugate
+        mirror of those values.  Defaults to :func:`voigt2dom.core.fadsamp`.
     """
 
     def __init__(self, y, config=None, generator=None):
@@ -198,9 +199,10 @@ class TwoDomainEvaluator:
             grid = build_grid(self.y, cfg)
             g = grid[grid.size // 2:]
             z = g + 1j * self.y
-            half = np.asarray(self.generator(z))
-            # w'(z) = -2z w(z) + 2i/sqrt(pi) (Abramowitz & Stegun 7.1.20)
-            slope = 2j / SQRT_PI - 2.0 * z * half
+            half = self._generate(z)
+            # w'(z) = -2z w(z) + 2i/sqrt(pi) (Abramowitz & Stegun 7.1.20);
+            # z * half first, as 2z overflows at y near the largest float
+            slope = 2j / SQRT_PI - 2.0 * (z * half)
             if self.gauss_sub:
                 gauss = np.exp(-g * g)
                 half = half - gauss
@@ -218,7 +220,7 @@ class TwoDomainEvaluator:
         xq = as_array(xs, np.float64, "xs")
         if self.bypass:     # each whole block goes to the generator
             w = in_blocks(xq.ravel(), lambda x: (np.True_,),
-                          (lambda x: self.generator(x + 1j * self.y),))
+                          (lambda x: self._generate(x + 1j * self.y),))
         else:
             w = in_blocks(xq.ravel(), self._masks, (self._interior, self._exterior))
         if opt is OutputOption.REAL_PART:
@@ -226,6 +228,13 @@ class TwoDomainEvaluator:
         elif opt is OutputOption.IMAG_PART:
             w = np.ascontiguousarray(w.imag)
         return restore_shape(w, xq)
+
+    def _generate(self, z):
+        """The generator's values at ``z``, checked to be finite numbers of ``z``'s shape."""
+        w = as_array(self.generator(z), np.complex128, "generator values", ParameterError)
+        if w.shape != z.shape:
+            raise ParameterError(f"generator values have shape {w.shape}, not {z.shape}")
+        return w
 
     def _masks(self, x):
         """Mask the interior and exterior points of a block off the bypass."""
@@ -267,15 +276,18 @@ def evaluate(xs, y, opt=None, config=None, generator=None):
     xs : real scalar or array_like
         Finite abscissas, any order (output preserves input ordering).
     y : positive real scalar
-        Shared imaginary part.  Values below ``config.y_floor`` bypass
-        interpolation and call the generator directly.
+        Shared imaginary part, any positive finite float up to the largest.
+        Values below ``config.y_floor`` bypass interpolation and call the
+        generator directly.
     opt : {1, 2, 3} or OutputOption, optional
         1 returns the real part, 2 the imaginary part, 3 the complex values.
         Omitting it assigns the default 3 and emits
         :class:`DefaultOptionNotice`.
     config : TwoDomainConfig, optional
     generator : callable, optional
-        Node-value evaluator, defaults to :func:`fadsamp`.
+        Node-value evaluator, defaults to :func:`fadsamp`.  It must return
+        numeric values of its argument's shape, all finite; anything else
+        raises :class:`ParameterError`.
 
     Returns
     -------

@@ -63,6 +63,16 @@ TYPED_ERRORS = [
     ("BenchSpec algorithms nested", lambda: BenchSpec(algorithms=[["cf"]]), ParameterError),
     ("calibrate seed str", lambda: calibrate(seed="x"), ParameterError),
     ("calibrate seed -1", lambda: calibrate(seed=-1), ParameterError),
+] + [
+    (f"evaluate generator returns {kind} at y={y:g}",
+     lambda gen=gen, y=y: evaluate(XS, y, opt=3, generator=gen), ParameterError)
+    for kind, gen in [
+        ("scalar", lambda z: 0.5),
+        ("short", lambda z: fadsamp(z)[:-1]),
+        ("str", lambda z: "w"),
+        ("NaN", lambda z: np.full(z.shape, complex("nan"))),
+    ]
+    for y in (0.5, 5e-9)   # the build and the bypass
 ]
 
 

@@ -32,16 +32,17 @@ from voigt2dom import (
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 
 Y_FLOOR = TwoDomainConfig().y_floor
+Y_MAX = float(np.finfo(float).max)
 
 abscissas = st.lists(
     st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
     min_size=1, max_size=8,
 )
 heights = st.one_of(
-    st.floats(5e-324, 1e300, allow_nan=False, allow_infinity=False),
+    st.floats(5e-324, Y_MAX, allow_nan=False, allow_infinity=False),
     st.sampled_from([
         float(np.nextafter(Y_FLOOR, 0.0)), Y_FLOOR, float(np.nextafter(Y_FLOOR, 1.0)),
-        0.25, 35.0, 1e300,
+        0.25, 35.0, 1e300, Y_MAX,
     ]),
 )
 

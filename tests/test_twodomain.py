@@ -344,8 +344,9 @@ class TestBlocking:
         tiny = np.array([-5e-324, 5e-324])
         assert np.array_equal(ev(tiny, opt=3), w_cf_external(tiny + 35j))
 
-    def test_beyond_radius_every_point_is_exterior(self):
-        ev = TwoDomainEvaluator(50.0)
+    @pytest.mark.parametrize("y", [50.0, 9e307, np.finfo(float).max])
+    def test_beyond_radius_every_point_is_exterior(self, y):
+        ev = TwoDomainEvaluator(y)
         assert ev.edge == -1.0
         xs = np.array([0.0, -0.0, 1e-300, 3.0])
-        assert np.array_equal(ev(xs, opt=3), w_cf_external(xs + 50j))
+        assert np.array_equal(ev(xs, opt=3), w_cf_external(xs + 1j * y))
