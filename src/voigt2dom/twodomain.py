@@ -6,10 +6,11 @@ node values on a y-dependent logarithmic grid whose point count grows as y
 shrinks, ``N_gp = 1/sqrt(y) + delta``; outside, a short 4-level continued
 fraction is already accurate to machine precision.  Each knot's slope is
 ``w'(z) = -2z w(z) + 2i/sqrt(pi)`` on its node value, so the table needs no
-solve.  The node generator is called on the grid's non-negative half only:
-the grid is odd-symmetric and ``w(-x + iy) = conj w(x + iy)``, so the
-negative half is its conjugate mirror.  Very small y (below 1e-8) bypasses
-interpolation entirely and evaluates the generator directly.
+solve.  Below y_floor (1e-8) the disk is empty: every point takes the
+exterior branch, which there calls the generator instead of the continued
+fraction.  The generator is called at x >= 0 only, and x < 0 takes the
+mirror ``w(-x + iy) = conj w(x + iy)``: a build calls it on the grid's
+non-negative half, and the bypass at |x|.
 
 For y below 0.25 the table holds ``w(x + iy) - exp(-x**2)`` rather than
 ``w`` itself, and the Gaussian is added back to the real part at call time.
@@ -30,7 +31,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from ._common import _BLOCK, as_array, in_blocks, option, positive, restore_shape
+from ._common import as_array, in_blocks, option, positive, restore_shape
 from .core import SQRT_PI, fadsamp, w_cf_external
 from .exceptions import (
     DefaultOptionNotice,
@@ -157,15 +158,16 @@ class TwoDomainEvaluator:
     ``w - exp(-x**2)`` (flagged by ``gauss_sub``) and calls add ``exp(-x**2)``
     back to the real part; near the ``|z| = radius`` seam the Gaussian is 0.
 
-    ``edge = sqrt(radius**2 - y**2)`` (-1 for y > radius) is the disk test
-    as one scalar: a call interpolates at ``|x| <= edge`` and takes the
-    continued fraction elsewhere.  It agrees with ``hypot(x, y) <= radius``
-    except within an ulp of the seam, where both branches are accurate.
+    ``edge = sqrt(radius**2 - y**2)`` is the disk test as one scalar: a call
+    interpolates at ``|x| <= edge`` and takes the exterior branch elsewhere.
+    It agrees with ``hypot(x, y) <= radius`` except within an ulp of the
+    seam, where both branches are accurate.  ``edge`` is -1 for y > radius
+    and on the bypass, where ``grid`` and ``spline`` are None and the
+    exterior branch is the mirrored generator.
 
-    A call runs the shared block loop :func:`voigt2dom._common.in_blocks`
-    over blocks of ``_BLOCK`` abscissas and projects the result.  A bypass
-    call sends each whole block to the generator; any other call splits each
-    block on ``edge``.
+    A call is one :func:`voigt2dom._common.in_blocks` run over blocks of
+    ``voigt2dom._common._BLOCK`` abscissas, each split on ``edge``, and a
+    projection of the result.
 
     Parameters
     ----------
@@ -176,9 +178,10 @@ class TwoDomainEvaluator:
         complex ndarray to ``w`` itself, because the knot slopes are derived
         from its values through the differential equation.  It must return
         numeric values of its argument's shape, all finite; anything else
-        raises :class:`ParameterError`.  It is called once per build, on the
-        grid's non-negative half; the negative half takes the conjugate
-        mirror of those values.  Defaults to :func:`voigt2dom.core.fadsamp`.
+        raises :class:`ParameterError`.  It is called at x >= 0 only: once
+        per build, on the grid's non-negative half, and on the bypass once
+        per block, at |x|; x < 0 takes the conjugate mirror of those values.
+        Defaults to :func:`voigt2dom.core.fadsamp`.
     """
 
     def __init__(self, y, config=None, generator=None):
@@ -191,11 +194,9 @@ class TwoDomainEvaluator:
         self.bypass = self.y < cfg.y_floor
         self.gauss_sub = self.y < _GAUSS_SUB_Y
         r, y = cfg.radius, self.y
-        self.edge = math.sqrt((r - y) * (r + y)) if y <= r else -1.0
-        if self.bypass:
-            self.grid = None
-            self.spline = None
-        else:
+        self.edge = math.sqrt((r - y) * (r + y)) if cfg.y_floor <= y <= r else -1.0
+        self.grid = self.spline = None
+        if not self.bypass:
             grid = build_grid(self.y, cfg)
             g = grid[grid.size // 2:]
             z = g + 1j * self.y
@@ -218,11 +219,7 @@ class TwoDomainEvaluator:
         """Evaluate at abscissas ``xs``; see :func:`evaluate`."""
         opt = _output_option(opt)
         xq = as_array(xs, np.float64, "xs")
-        if self.bypass:     # each whole block goes to the generator
-            w = in_blocks(xq.ravel(), lambda x: (np.True_,),
-                          (lambda x: self._generate(x + 1j * self.y),))
-        else:
-            w = in_blocks(xq.ravel(), self._masks, (self._interior, self._exterior))
+        w = in_blocks(xq.ravel(), self._masks, (self._interior, self._exterior))
         if opt is OutputOption.REAL_PART:
             w = np.ascontiguousarray(w.real)
         elif opt is OutputOption.IMAG_PART:
@@ -237,7 +234,7 @@ class TwoDomainEvaluator:
         return w
 
     def _masks(self, x):
-        """Mask the interior and exterior points of a block off the bypass."""
+        """Mask the interior and exterior points of a block."""
         internal = np.abs(x) <= self.edge
         return internal, ~internal
 
@@ -252,7 +249,10 @@ class TwoDomainEvaluator:
         return w
 
     def _exterior(self, x):
-        """Continued-fraction values outside the disk."""
+        """Continued-fraction values outside the disk; the generator's on the bypass."""
+        if self.bypass:     # the generator at |x|, mirrored as the build mirrors its grid
+            w = self._generate(np.abs(x) + 1j * self.y)
+            return np.where(x < 0, np.conj(w), w)
         return w_cf_external(x + 1j * self.y)
 
 
@@ -278,7 +278,7 @@ def evaluate(xs, y, opt=None, config=None, generator=None):
     y : positive real scalar
         Shared imaginary part, any positive finite float up to the largest.
         Values below ``config.y_floor`` bypass interpolation and call the
-        generator directly.
+        generator directly, at |x|, with x < 0 taking the conjugate mirror.
     opt : {1, 2, 3} or OutputOption, optional
         1 returns the real part, 2 the imaginary part, 3 the complex values.
         Omitting it assigns the default 3 and emits

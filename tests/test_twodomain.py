@@ -19,10 +19,17 @@ from voigt2dom import (
     reference_values,
     w_cf_external,
 )
+from voigt2dom import twodomain
+from voigt2dom._common import _BLOCK
 from voigt2dom.spline import eval_spline
-from voigt2dom.twodomain import _BLOCK, _GAUSS_SUB_Y
+from voigt2dom.twodomain import _GAUSS_SUB_Y
 
 EPS = 2.0**-52
+
+
+def mirrored_fadsamp(xs, y):
+    """fadsamp at x >= 0 and its conjugate mirror conj w(-x + iy) at x < 0."""
+    return np.where(xs < 0, np.conj(fadsamp(-xs + 1j * y)), fadsamp(xs + 1j * y))
 
 
 class TestGridCount:
@@ -112,7 +119,7 @@ class TestEvaluate:
         xs = np.linspace(-5, 5, 100_001)
         y = 0.5e-8
         w = evaluate(xs, y, opt=3)
-        assert np.array_equal(w, fadsamp(xs + 1j * y))
+        assert np.array_equal(w, mirrored_fadsamp(xs, y))
         ref = oracle(xs + 1j * y)
         assert np.max(np.abs(w.real - ref.real)) <= 2.5e-13
         assert np.max(np.abs(w.imag - ref.imag)) <= 2.5e-13
@@ -304,6 +311,36 @@ class TestAccuracyInvariants:
             assert np.max(np.abs(m - np.conj(w)) / np.abs(w)) <= 1e-13
 
 
+class TestBypass:
+    """Below y_floor the disk is empty and the exterior branch is the generator."""
+
+    @pytest.mark.parametrize("y", [5e-324, 1e-12, 5e-9, np.nextafter(1e-8, 0)])
+    def test_negative_x_is_the_exact_conjugate_mirror(self, y):
+        xs = np.concatenate([[0.0, 7.5, 40.0], np.linspace(0.0, 50.0, 2001)])
+        ev = TwoDomainEvaluator(y)
+        assert ev.bypass
+        assert np.array_equal(ev(-xs, opt=3), np.conj(ev(xs, opt=3)))
+
+    @pytest.mark.parametrize("y", [1e-12, 1e-9, 5e-9])
+    def test_negative_x_partwise_accuracy(self, y):
+        # the generator's own x < 0 branch is off by up to 1e-2 here
+        xs = np.linspace(-30.0, 0.0, 3001)[:-1]
+        rel_k, rel_l = partwise_rel(evaluate(xs, y, opt=3), oracle(xs + 1j * y))
+        assert rel_k <= 1e-12
+        assert rel_l <= 1e-12
+
+    def test_every_point_takes_the_exterior_branch(self, monkeypatch):
+        value = 0.25 + 0.5j
+        monkeypatch.setattr(twodomain, "fadsamp", lambda z: np.full(z.shape, value))
+        ev = TwoDomainEvaluator(5e-9)
+        assert ev.edge == -1.0
+        assert ev.grid is None and ev.spline is None
+        xs = np.array([0.0, 1e-300, 3.0, 34.9, 35.0, 40.0])
+        interior, exterior = ev._masks(np.concatenate([-xs, xs]))
+        assert not interior.any() and exterior.all()
+        assert np.array_equal(ev(xs, opt=3), np.full(xs.shape, value))
+
+
 class TestBlocking:
     @pytest.mark.parametrize("y", [1e-3, 0.3, 10.0])
     def test_blocks_do_not_change_values(self, rng, y):
@@ -325,7 +362,7 @@ class TestBlocking:
             return fadsamp(z)
 
         w = evaluate(xs, y, opt=3, generator=gen)
-        assert np.array_equal(w, fadsamp(xs + 1j * y))
+        assert np.array_equal(w, mirrored_fadsamp(xs, y))
         assert len(sizes) == 3 and max(sizes) <= _BLOCK
 
     @pytest.mark.parametrize("y", [0.1, 1.0, 20.0])
