@@ -3,14 +3,14 @@
 The complex plane is split at ``|x + iy| = r`` (default r = 35).  Inside the
 disk the function is interpolated by a complex cubic Hermite table through
 node values on a y-dependent logarithmic grid whose point count grows as y
-shrinks, ``N_gp = 1/sqrt(y) + delta``; outside, a short 4-level continued
-fraction is already accurate to machine precision.  Each knot's slope is
-``w'(z) = -2z w(z) + 2i/sqrt(pi)`` on its node value, so the table needs no
-solve.  Below y_floor (1e-8) the disk is empty: every point takes the
-exterior branch, which there calls the generator instead of the continued
-fraction.  The generator is called at x >= 0 only, and x < 0 takes the
-mirror ``w(-x + iy) = conj w(x + iy)``: a build calls it on the grid's
-non-negative half, and the bypass at |x|.
+shrinks, ``N_gp = 1/sqrt(y) + delta``; outside, the 4-level continued
+fraction, evaluated as one rational function of z, is already accurate to
+machine precision.  Each knot's slope is ``w'(z) = -2z w(z) + 2i/sqrt(pi)``
+on its node value, so the table needs no solve.  Below y_floor (1e-8) the
+disk is empty: every point takes the exterior branch, which there calls the
+generator instead of the continued fraction.  The generator is called at
+x >= 0 only, and x < 0 takes the mirror ``w(-x + iy) = conj w(x + iy)``: a
+build calls it on the grid's non-negative half, and the bypass at |x|.
 
 For y below 0.25 the table holds ``w(x + iy) - exp(-x**2)`` rather than
 ``w`` itself, and the Gaussian is added back to the real part at call time.

@@ -196,6 +196,55 @@ class TestCfExternal:
         lead = 1j / (SQRT_PI * 1000.0)
         assert abs(v - lead) / abs(lead) < 1e-6
 
+    @staticmethod
+    def exterior(n, seed):
+        """Seeded points outside the two-domain disk: either sign of x, |x|
+        log-uniform from the disk's edge at that y to 1e4, y from 1e-300 to 34.99,
+        and the 35.0001 circle."""
+        rng = np.random.default_rng(seed)
+        y = 10 ** rng.uniform(-300.0, math.log10(34.99), n)
+        edge = np.sqrt((35.0 - y) * (35.0 + y))
+        x = edge * (1e4 / edge) ** rng.uniform(0.0, 1.0, n) * rng.choice([-1.0, 1.0], n)
+        circle = 35.0001 * np.exp(1j * np.pi * rng.uniform(0.0, 1.0, n // 8))
+        return np.concatenate([x + 1j * y, circle])
+
+    def test_rounds_as_the_depth4_fold(self):
+        z = self.exterior(40_000, 7)
+        assert complex_rel(w_cf_external(z), w_continued_fraction(z, 4)) <= 2e-15
+
+    def test_leading_term_past_1e60_is_the_fold_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        n = 3000
+        big = 10 ** rng.uniform(60.2, 307.0, n) * rng.choice([-1.0, 1.0], n)
+        any_y = 10 ** rng.uniform(-300.0, 300.0, n)
+        any_x = 10 ** rng.uniform(-300.0, 300.0, n) * rng.choice([-1.0, 1.0], n)
+        z = np.concatenate([big + 1j * any_y, any_x + 1j * np.abs(big)])
+        assert np.array_equal(w_cf_external(z), w_continued_fraction(z, 4))
+
+    def test_finite_at_the_largest_float(self):
+        x, y = 1.7976931348623155e308, 2.32e300
+        for v in (w_cf_external(x + 1j * y), evaluate(x, y, 3)):
+            # w ~ i/(sqrt(pi) z), whose real part y/(sqrt(pi) |z|^2) is subnormal
+            assert math.isclose(v.imag, 1.0 / x / SQRT_PI, rel_tol=1e-14)
+            assert math.isclose(v.real, y / x / x / SQRT_PI, rel_tol=1e-6)
+
+    def test_no_value_depends_on_the_batch(self):
+        rng = np.random.default_rng(13)
+        huge = 10 ** rng.uniform(60.2, 308.0, 200) * rng.choice([-1.0, 1.0], 200) + 1j
+        z = np.concatenate([self.exterior(20_000, 13), huge])
+        z = z[rng.permutation(z.size)]
+        w = w_cf_external(z)
+        assert all(w_cf_external(z[i:i + 1])[0] == w[i] for i in range(z.size))
+        assert all(w_cf_external(complex(z[i])) == w[i] for i in range(z.size))
+        for k in range(1, 9):
+            assert np.array_equal(w_cf_external(z[k:]), w[k:])
+        for s in (2, 3):
+            assert np.array_equal(w_cf_external(z[::s]), w[::s])
+        for n in range(2, 34):
+            assert np.array_equal(w_cf_external(z[:n]), w[:n])
+        square = z[:20_000].reshape(40, 500)
+        assert np.array_equal(w_cf_external(square), w[:20_000].reshape(40, 500))
+
 
 class TestFadsamp:
     def test_origin(self):

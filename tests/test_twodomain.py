@@ -352,6 +352,23 @@ class TestBlocking:
         p = rng.permutation(xs.size)
         assert np.array_equal(ev(xs[p], opt=3), w[p])
 
+    @pytest.mark.parametrize("y", [1e-3, 10.0])
+    def test_one_exterior_point_per_block(self, y):
+        # the exterior branch then gets one-element arrays, where numpy's
+        # in-place complex product takes its scalar path
+        rng = np.random.default_rng(17)
+        ev = TwoDomainEvaluator(y)
+        blocks = 4
+        xs = rng.uniform(-ev.edge, ev.edge, (blocks, _BLOCK))
+        xs[np.arange(blocks), rng.integers(0, _BLOCK, blocks)] = rng.uniform(36.0, 1e3, blocks)
+        xs = xs.ravel()
+        w = ev(xs, opt=3)
+        ext = np.abs(xs) > ev.edge
+        assert np.count_nonzero(ext) == blocks
+        assert np.array_equal(w[ext], ev(xs[ext], opt=3))
+        assert np.array_equal(w[ext], w_cf_external(xs[ext] + 1j * y))
+        assert np.array_equal(w[~ext], ev(xs[~ext], opt=3))
+
     def test_bypass_runs_in_blocks(self, rng):
         y = 5e-9
         xs = rng.uniform(-40.0, 40.0, 2 * _BLOCK + 17)
