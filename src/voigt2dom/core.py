@@ -3,16 +3,22 @@
 Implements the building blocks used throughout the library: a rational
 expansion obtained by Fourier sampling of the Gaussian with a pole-lifting
 shift, its symmetrized variant that stays accurate for Im(z) -> 0+, Laplace
-continued fractions for large ``|z|`` (folded level by level, except the
-two-domain exterior's depth 4, which is one rational function), and the
-three-branch dispatcher ``fadsamp`` that combines them over the closed upper
-half-plane.
+continued fractions for large ``|z|``, and the three-branch dispatcher
+``fadsamp`` that combines them over the closed upper half-plane.
+
+A continued fraction of depth <= 24 is evaluated from one cached set of
+rational coefficients by Horner's rule in ``z^2``: the two-domain exterior's
+depth 4 as one rational function, every other depth with its outermost
+level folded.  Deeper fractions are folded level by level.  Near the real
+axis ``fadsamp`` and the oracle add to the fraction the Gaussian that it
+lacks.
 
 All evaluators accept a complex scalar or any array of complex values and
 map element-wise.  For Voigt semantics (``K = Re w``, ``L = Im w``) the
 argument must lie in the upper half-plane.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -181,19 +187,37 @@ def w_symmetrized(z, coeffs=None):
     return restore_shape(out, zz)
 
 
+# up to this depth every coefficient of the fraction's rational form is a
+# dyadic rational of fewer than 53 bits, so binary64 holds it exactly
+_CF_RATIONAL_DEPTH = 24
+
+
 def w_continued_fraction(z, depth=11):
     """Laplace continued fraction with partial numerators k/2, k = 1..depth.
 
-    Evaluated bottom-up (innermost level first):
-    ``(i/sqrt(pi)) / (z - (1/2)/(z - 1/(z - (3/2)/(z - ... - (depth/2)/z))))``.
-    Accurate for |z| > 8 at the default depth.
+    ``(i/sqrt(pi)) / (z - (1/2)/(z - 1/(z - (3/2)/(z - ... - (depth/2)/z))))``,
+    accurate for |z| > 8 at the default depth.  Up to depth 24 the levels
+    2..depth are one rational function T of z, by Horner's rule in ``z^2``
+    with one complex division, and only the outermost level is folded,
+    ``(i/sqrt(pi)) / (z - T/2)``: folding it keeps the real part accurate near
+    the real axis, where one division for the whole fraction would not.  The
+    value agrees with the level-by-level fold to rounding (within 2e-15
+    relative for |z| >= 8).  Where a real or imaginary part exceeds
+    ``10^(300/(depth + 1))`` it is the leading term ``(i/sqrt(pi))/z``, finite
+    up to the largest float.  Deeper fractions are folded bottom-up, level
+    by level, since their rational coefficients are no longer exact.
     """
-    return _fold(z, positive(depth, "depth", integer=True))
+    depth = positive(depth, "depth", integer=True)
+    if depth > _CF_RATIONAL_DEPTH:
+        return _fold(z, depth)
 
+    def outer(v):
+        tail = _cf_rational(v, 2, depth)
+        tail *= 0.5
+        np.subtract(v, tail, out=tail)
+        return np.divide(1j / SQRT_PI, tail, out=tail)
 
-# past this real or imaginary part z^5 overflows, and the depth-4 fraction
-# is its leading term
-_CF_LEAD = 1e60
+    return _cf_points(z, depth, outer)
 
 
 def w_cf_external(z):
@@ -202,48 +226,99 @@ def w_cf_external(z):
     The depth-4 convergent of :func:`w_continued_fraction` as one rational
     function, ``(i/sqrt(pi)) (z^4 - 4.5 z^2 + 2) / (z (z^4 - 5 z^2 + 3.75))``,
     by Horner's rule in ``z^2``: one complex division per point, where the
-    level-by-level fold takes five.  It agrees with
-    ``w_continued_fraction(z, 4)`` to rounding (within 2e-15 relative
-    outside the radius), not bit for bit.
+    level-by-level fold takes five.  It agrees with the depth-4 fold to
+    rounding (within 2e-15 relative outside the radius), not bit for bit.
 
     Where a real or imaginary part exceeds 1e60, ``z^5`` would overflow.
     There every level of the fold rounds ``z - E`` to ``z``, and the value
     is the leading term ``(i/sqrt(pi))/z``, equal to the fold bit for bit
     wherever the fold is finite; it is formed from ``z/2``, so that it stays
     finite up to the largest float.
+    """
+    def rational(v):
+        out = _cf_rational(v, 1, 4)
+        out *= 1j / SQRT_PI
+        return out
 
-    A point's value does not depend on the rest of the batch: numpy rounds
-    an in-place product on a one-element array differently, so such an
-    array is evaluated doubled.
+    return _cf_points(z, 4, rational)
+
+
+def _cf_points(z, depth, fn):
+    """``fn`` at the points of ``z``; the leading term past ``10^(300/(depth + 1))``.
+
+    There a real or imaginary part is so large that ``z^(depth + 1)`` may
+    overflow, and every level of the fraction rounds ``z - E`` to ``z``.  One
+    min/max pass over the float pairs decides; masks are built only when it
+    fails.  A point's value does not depend on the rest of the batch: numpy
+    rounds an in-place product on a one-element array differently, so ``fn``
+    gets such an array doubled.
     """
     zz = as_array(z, np.complex128, "z")
     flat = zz.ravel()
+    big = 10.0 ** (300.0 / (depth + 1))
+
+    def each(v):
+        return fn(np.repeat(v, 2))[:1] if v.size == 1 else fn(v)
+
     with typed_float_errors():
         parts = flat.view(np.float64)
-        if -_CF_LEAD <= parts.min(initial=0.0) and parts.max(initial=0.0) <= _CF_LEAD:
-            out = _cf4_rational(flat)
+        if -big <= parts.min(initial=0.0) and parts.max(initial=0.0) <= big:
+            out = each(flat)
         else:
-            lead = np.maximum(np.abs(flat.real), np.abs(flat.imag)) > _CF_LEAD
+            lead = np.maximum(np.abs(flat.real), np.abs(flat.imag)) > big
             out = np.empty_like(flat)
-            out[~lead] = _cf4_rational(flat[~lead])
+            out[~lead] = each(flat[~lead])
             out[lead] = (0.5j / SQRT_PI) / (0.5 * flat[lead])
     return restore_shape(out, zz)
 
 
-def _cf4_rational(v):
-    """The depth-4 convergent at the 1-D points ``v``, in place on three temporaries."""
-    if v.size == 1:     # in place, one element would round differently
-        return _cf4_rational(np.repeat(v, 2))[:1]
+@functools.cache
+def _cf_coefficients(first, last):
+    """``1/(z - (first/2)/(z - ((first + 1)/2)/(... - (last/2)/z)))`` as one rational function.
+
+    Returns ``(p, q, odd)``: the coefficients of the monic polynomials P and
+    Q in ``t = z^2``, highest power first and the leading 1 left out, such
+    that the fraction is ``P/(z Q)`` if ``odd``, else ``z P/Q``.  Numerator
+    and denominator follow the three-term recurrence ``X_k = z X_(k-1) -
+    ((first + k - 2)/2) X_(k-2)`` from ``(X_0, X_1) = (0, 1)`` and ``(1, z)``
+    up to ``k = n = last - first + 2``; the denominator has the parity of
+    n and the numerator the other.  The float recurrence is exact up to
+    depth 24 (:data:`_CF_RATIONAL_DEPTH`).
+    """
+    def step(x1, x2, a):
+        out = [0.0] + x1                # z x1 - a x2, ascending powers of z
+        for i, c in enumerate(x2):
+            out[i] -= a * c
+        return out
+
+    num, den = ([0.0], [1.0]), ([1.0], [0.0, 1.0])
+    n = last - first + 2
+    for k in range(2, n + 1):
+        a = (first + k - 2) / 2
+        num = num[1], step(num[1], num[0], a)
+        den = den[1], step(den[1], den[0], a)
+    return tuple(num[1][::-2][1:]), tuple(den[1][::-2][1:]), n % 2 == 1
+
+
+def _monic(t, coeffs):
+    """``t^n + coeffs[0] t^(n-1) + ... + coeffs[n-1]`` by Horner's rule, in place on one new array."""
+    acc = t + coeffs[0] if coeffs else np.ones_like(t)
+    for c in coeffs[1:]:
+        acc *= t
+        acc += c
+    return acc
+
+
+def _cf_rational(v, first, last):
+    """The fraction of :func:`_cf_coefficients` at the 1-D points ``v``, with one complex division."""
+    p, q, odd = _cf_coefficients(first, last)
     t = v * v
-    num = t - 4.5
-    num *= t
-    num += 2.0
-    den = t - 5.0
-    den *= t
-    den += 3.75
-    den *= v
+    num, den = _monic(t, p), _monic(t, q)
+    if odd:
+        den *= v
+    else:
+        num *= v
     num /= den
-    num *= 1j / SQRT_PI
     return num
 
 
@@ -290,7 +365,7 @@ def fadsamp(z, coeffs=None):
     return restore_shape(in_blocks(zz.ravel(), _masks, (
         lambda v: w_sampling(v, co),
         lambda v: w_symmetrized(v, co),
-        lambda v: w_continued_fraction(v, 11),
+        lambda v: cf_gaussian(v, w_continued_fraction(v, 11)),
     )), zz)
 
 
@@ -301,6 +376,32 @@ def _masks(flat):
     inner = np.abs(flat) <= 8.0
     use_sampling = inner & (flat.imag > 0.05 * flat.real)
     return use_sampling, inner & ~use_sampling, ~inner
+
+
+# below this y the Gaussian can reach Re w's last digit at |z| >= 8: its
+# share of Re w ~ y/(sqrt(pi) x^2) is at most 1.8e-26/y there
+_GAUSS_Y = 1.6e-10
+# past this |x| the Gaussian exp(-x^2) underflows to 0
+_GAUSS_X = math.sqrt(746.0)
+
+
+def cf_gaussian(v, w):
+    """``w``, a continued fraction's values at the 1-D points ``v`` with |v| >= 8, plus the Gaussian.
+
+    The fraction is a rational function, so it lacks the term
+    ``Re exp(-z^2) = exp(y^2 - x^2) cos(2xy)`` of ``Re w``, which matters
+    near the real axis: ``Re w(8.004 + 1e-300j)`` is 1.5e-28, of which the
+    fraction gives 9e-303.  It is added in place where ``y < 1.6e-10`` (so
+    ``y <= 0.05|x|``) and ``x^2 < 746``; elsewhere it is below rounding or
+    underflows to 0.  One min over the block's ``y`` decides whether any
+    point needs it.
+    """
+    if v.imag.min(initial=np.inf) < _GAUSS_Y:
+        x, y = v.real, v.imag
+        near = (y < _GAUSS_Y) & (np.abs(x) < _GAUSS_X)
+        x, y = x[near], y[near]
+        w.real[near] += np.exp((y - x) * (y + x)) * np.cos(2.0 * x * y)
+    return w
 
 
 def w_simple_rational(z):
@@ -315,4 +416,4 @@ def w_simple_rational(z):
     * ``a2 = 1/4 + y^2 + y^4``
     * ``b2 = -1 + 2 y^2``
     """
-    return _fold(z, 1)
+    return w_continued_fraction(z, 1)

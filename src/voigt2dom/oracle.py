@@ -7,7 +7,9 @@ domain (upper half-plane, |z| <= 1e4):
   summed by Horner's rule in extended precision over a fixed 74 terms;
 * ``2 < |z| < 8``  the trapezoidal dispatcher at N = 24 (twice the
   production order, so truncation errors are uncorrelated with it);
-* ``|z| >= 8``   the Laplace continued fraction at depth 16.
+* ``|z| >= 8``   the Laplace continued fraction at depth 16, plus the
+  Gaussian ``Re exp(-z^2)`` that it lacks near the real axis (the same
+  term that ``fadsamp`` adds to its fraction).
 
 Each region evaluates a fixed formula, so a point's value does not depend
 on the other points of its batch.  Their mutual agreement on the overlap
@@ -21,7 +23,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from ._common import as_array, in_blocks, positive, restore_shape
-from .core import w_continued_fraction
+from .core import cf_gaussian, w_continued_fraction
 from .exceptions import InputDomainError, OracleDomainError, ParameterError
 from .trapezoid import TrapParams, wtrap
 
@@ -76,7 +78,7 @@ def reference_values(z):
     return restore_shape(in_blocks(zz.ravel(), _masks, (
         _series_values,
         lambda v: wtrap(v, _TRAP24),
-        lambda v: w_continued_fraction(v, 16),
+        lambda v: cf_gaussian(v, w_continued_fraction(v, 16)),
     )), zz)
 
 

@@ -6,7 +6,8 @@ plane: a midpoint rule, the midpoint rule plus a residue correction, and an
 integer-offset rule.  Each formula has poles on the real axis; the
 :func:`wtrap` dispatcher interchanges them so that no evaluation point is
 ever near a pole, which makes the combination accurate and pole-free for
-every ``Im z > 0`` already at order N = 11.
+every ``Im z > 0`` already at order N = 11.  Where ``exp(-z^2)``
+underflows to 0, the residue term is 0 and no exponential is computed.
 """
 
 import math
@@ -33,6 +34,10 @@ _POLE_TOL = 1e-290
 
 # switch the residue correction to its overflow-free form beyond this
 _EXP_SWITCH = 700.0
+
+# below this y^2 - x^2, exp(-z^2) underflows to 0 in both forms of the
+# residue correction (e**-745.2 is half the least subnormal)
+_EXP_ZERO = -746.0
 
 # every rule squares z, and z * z overflows past |z| = sqrt(max float) ~ 1.34e154
 _Z_MAX = 1e154
@@ -89,7 +94,12 @@ def _residue_correction(zz, h, sign):
     real part 2 pi y / h; past the switch point the expression is rewritten
     as ``2 exp(-z^2 + 2 i pi z / h) / (sign + exp(2 i pi z / h))`` whose
     numerator underflows cleanly to zero whenever y^2 - x^2 - 2 pi y / h is
-    very negative (always the case under the wtrap dispatch).
+    very negative (always the case under the wtrap dispatch).  Where
+    ``y^2 - x^2 < -746``, ``exp(-z^2)`` underflows to 0 in both forms, and
+    the term is 0 with no exponential computed.  The pole test of the
+    small form cannot fire there: ``|1 +- exp(-2 i pi z / h)| < 1e-290``
+    needs ``|sin(2 pi x / h)| < 1e-290``, but there ``|x| > 27``, and no
+    binary64 number above 1 lies within 4e-19 of a multiple of pi.
 
     Raises :class:`InputDomainError` where ``y >= pi/h`` and ``E = y^2 - x^2
     - 2 pi y / h >= 0``.  There the term, of size ``2 e**E``, is an error
@@ -118,10 +128,11 @@ def _residue_correction(zz, h, sign):
         return 2.0 * np.exp(-v * v - s) / (sign + np.exp(-s))
 
     def masks(v):
+        zero = (v.imag - v.real) * (v.imag + v.real) < _EXP_ZERO
         is_small = c * v.imag <= _EXP_SWITCH
-        return is_small, ~is_small
+        return zero, ~zero & is_small, ~(zero | is_small)
 
-    return in_blocks(zz.ravel(), masks, (small, big)).reshape(zz.shape)
+    return in_blocks(zz.ravel(), masks, (np.zeros_like, small, big)).reshape(zz.shape)
 
 
 def _as_z(z):

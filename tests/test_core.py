@@ -1,11 +1,13 @@
 """Tests for the sampling expansion, continued fractions and the dispatcher."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import wofz
 
-from conftest import complex_rel, oracle
+from conftest import complex_rel, oracle, partwise_rel
 from voigt2dom import (
     InputDomainError,
     ParameterError,
@@ -28,6 +30,7 @@ from voigt2dom import (
     wtrap_midpoint,
     wtrap_offset,
 )
+from voigt2dom.core import _CF_RATIONAL_DEPTH, _cf_coefficients, _fold
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -180,6 +183,122 @@ class TestContinuedFraction:
         with pytest.raises(ParameterError):
             w_continued_fraction(10 + 10j, 0)
 
+    @staticmethod
+    def outside(n, seed):
+        """Seeded points with |z| >= 8 in the upper half-plane: the 8-8.3 ring,
+        |z| log-uniform up to 1e300, and 8 < |x| < 30 at y from 1e-300 to 1e-2."""
+        rng = np.random.default_rng(seed)
+        ring = 10 ** rng.uniform(math.log10(8.0), math.log10(8.3), n)
+        wide = 10 ** rng.uniform(math.log10(8.0), 300.0, n)
+        angle = np.pi * rng.uniform(0.0, 1.0, (2, n))
+        x = rng.uniform(8.0, 30.0, n) * rng.choice([-1.0, 1.0], n)
+        return np.concatenate([ring * np.exp(1j * angle[0]), wide * np.exp(1j * angle[1]),
+                               x + 1j * 10 ** rng.uniform(-300.0, -2.0, n)])
+
+    @pytest.mark.parametrize("depth", range(1, _CF_RATIONAL_DEPTH + 1))
+    def test_rounds_as_the_fold(self, depth):
+        z = self.outside(4000, depth)
+        assert complex_rel(w_continued_fraction(z, depth), _fold(z, depth)) <= 2e-15
+
+    @pytest.mark.parametrize("depth", range(1, _CF_RATIONAL_DEPTH + 1))
+    def test_real_part_near_the_axis_is_the_folds(self, depth):
+        # the outermost level is folded: one division for the whole fraction
+        # loses the real part here, by 3e-15 at depth 4 and 1.2e-14 at depth 11
+        rng = np.random.default_rng(100 + depth)
+        x = rng.uniform(8.0, 30.0, 20_000) * rng.choice([-1.0, 1.0], 20_000)
+        z = x + 1j * 10 ** rng.uniform(-8.0, -2.0, 20_000)
+        re, fold = w_continued_fraction(z, depth).real, _fold(z, depth).real
+        assert np.max(np.abs(re - fold) / np.abs(fold)) <= 2e-15
+
+    def test_deeper_fractions_are_the_fold(self):
+        z = self.outside(2000, 1)
+        for depth in (_CF_RATIONAL_DEPTH + 1, 40):
+            assert np.array_equal(w_continued_fraction(z, depth), _fold(z, depth))
+
+    @pytest.mark.parametrize("depth", [1, 4, 11, 16, _CF_RATIONAL_DEPTH])
+    def test_leading_term_is_the_fold_bit_for_bit(self, depth):
+        # past 10^(300/(depth + 1)) in either part, up to where the fold overflows
+        rng = np.random.default_rng(depth)
+        big = 10 ** rng.uniform(300.0 / (depth + 1) + 0.01, 300.0, 2000)
+        small = 10 ** rng.uniform(-300.0, 300.0, 2000)
+        z = np.concatenate([big * rng.choice([-1.0, 1.0], 2000) + 1j * small, small + 1j * big])
+        assert np.array_equal(w_continued_fraction(z, depth), _fold(z, depth))
+
+    def test_coefficients_are_the_exact_recurrence(self):
+        def exact(first, last):
+            # X_k = z X_(k-1) - ((first + k - 2)/2) X_(k-2), ascending powers of z
+            def step(x1, x2, a):
+                out = [Fraction(0)] + x1
+                for i, c in enumerate(x2):
+                    out[i] -= a * c
+                return out
+
+            num, den = ([Fraction(0)], [Fraction(1)]), ([Fraction(1)], [Fraction(0), Fraction(1)])
+            for k in range(2, last - first + 3):
+                a = Fraction(first + k - 2, 2)
+                num = num[1], step(num[1], num[0], a)
+                den = den[1], step(den[1], den[0], a)
+            return num[1], den[1]
+
+        pairs = [(1, 4)] + [(2, d) for d in range(1, _CF_RATIONAL_DEPTH + 1)]
+        for first, last in pairs:
+            p, q, odd = _cf_coefficients(first, last)
+            num, den = exact(first, last)
+            n = last - first + 2
+            assert odd == (n % 2 == 1)
+            # the powers of the parity of each polynomial, highest first
+            assert num[::-2] == [Fraction(1)] + [Fraction(c) for c in p]
+            assert den[::-2] == [Fraction(1)] + [Fraction(c) for c in q]
+            assert not any(num[-2::-2]) and not any(den[-2::-2])
+            # and they are the fraction, folded exactly at z = 5/2
+            z = Fraction(5, 2)
+            folded = z
+            for k in range(last, first - 1, -1):
+                folded = z - Fraction(k, 2) / folded
+            poly = [sum(c * z**i for i, c in enumerate(x)) for x in (num, den)]
+            assert poly[0] / poly[1] == 1 / folded
+
+    @pytest.mark.parametrize("fn", [
+        fadsamp,
+        w_simple_rational,
+        lambda z: w_continued_fraction(z, 11),
+        lambda z: w_continued_fraction(z, 16),
+    ], ids=["fadsamp", "w_simple_rational", "cf11", "cf16"])
+    def test_finite_at_the_largest_float(self, fn):
+        x, y = 1.7976931348623155e308, 2.32e300
+        v = fn(x + 1j * y)
+        # w ~ i/(sqrt(pi) z), whose real part y/(sqrt(pi) |z|^2) is subnormal
+        assert math.isclose(v.imag, 1.0 / x / SQRT_PI, rel_tol=1e-14)
+        assert math.isclose(v.real, y / x / x / SQRT_PI, rel_tol=1e-6)
+
+    @pytest.mark.parametrize("fn, z", [
+        (w_continued_fraction, 0j), (w_simple_rational, 0j), (w_cf_external, 5e-324j),
+    ], ids=["w_continued_fraction", "w_simple_rational", "w_cf_external"])
+    def test_no_binary64_value_raises(self, fn, z):
+        with pytest.raises(InputDomainError):
+            fn(z)
+
+
+class TestGaussianNearTheAxis:
+    """Re w = exp(-x^2) + ..., which a continued fraction lacks near the real axis."""
+
+    @pytest.mark.parametrize("fn", [fadsamp, reference_values], ids=["fadsamp", "oracle"])
+    def test_at_8_004(self, fn):
+        z = 8.004 + 1e-300j
+        assert math.isclose(fn(z).real, wofz(z).real, rel_tol=1e-13)
+
+    def test_bypass_line_at_the_least_subnormal_y(self):
+        xs = np.linspace(-40.0, 40.0, 20001)
+        re, _ = partwise_rel(evaluate(xs, 5e-324, 3), wofz(xs + 5e-324j))
+        assert re <= 1e-13
+
+    def test_near_axis_band(self):
+        rng = np.random.default_rng(17)
+        x = rng.uniform(8.0, 26.0, 4000) * rng.choice([-1.0, 1.0], 4000)
+        z = x + 1j * np.abs(x) * 10 ** rng.uniform(-300.0, math.log10(0.05), 4000)
+        for w in (fadsamp(z), reference_values(z)):
+            assert np.all(np.abs(w.real - wofz(z).real) <= 1e-13 * wofz(z).real)
+
 
 class TestCfExternal:
     def test_agrees_with_depth11_at_36(self):
@@ -210,7 +329,7 @@ class TestCfExternal:
 
     def test_rounds_as_the_depth4_fold(self):
         z = self.exterior(40_000, 7)
-        assert complex_rel(w_cf_external(z), w_continued_fraction(z, 4)) <= 2e-15
+        assert complex_rel(w_cf_external(z), _fold(z, 4)) <= 2e-15
 
     def test_leading_term_past_1e60_is_the_fold_bit_for_bit(self):
         rng = np.random.default_rng(11)
@@ -219,7 +338,7 @@ class TestCfExternal:
         any_y = 10 ** rng.uniform(-300.0, 300.0, n)
         any_x = 10 ** rng.uniform(-300.0, 300.0, n) * rng.choice([-1.0, 1.0], n)
         z = np.concatenate([big + 1j * any_y, any_x + 1j * np.abs(big)])
-        assert np.array_equal(w_cf_external(z), w_continued_fraction(z, 4))
+        assert np.array_equal(w_cf_external(z), _fold(z, 4))
 
     def test_finite_at_the_largest_float(self):
         x, y = 1.7976931348623155e308, 2.32e300
@@ -228,22 +347,33 @@ class TestCfExternal:
             assert math.isclose(v.imag, 1.0 / x / SQRT_PI, rel_tol=1e-14)
             assert math.isclose(v.real, y / x / x / SQRT_PI, rel_tol=1e-6)
 
-    def test_no_value_depends_on_the_batch(self):
+    @pytest.mark.parametrize("fn", [
+        w_cf_external,
+        lambda z: w_continued_fraction(z, 11),
+        lambda z: w_continued_fraction(z, 16),
+        fadsamp,
+    ], ids=["w_cf_external", "cf11", "cf16", "fadsamp"])
+    def test_no_value_depends_on_the_batch(self, fn):
         rng = np.random.default_rng(13)
-        huge = 10 ** rng.uniform(60.2, 308.0, 200) * rng.choice([-1.0, 1.0], 200) + 1j
-        z = np.concatenate([self.exterior(20_000, 13), huge])
+        sign = rng.choice([-1.0, 1.0], 200)
+        huge = 10 ** rng.uniform(60.2, 308.0, 200) * sign + 1j
+        large = 10 ** rng.uniform(15.0, 60.0, 200) * sign + 1j
+        # where the Gaussian is added to fadsamp's fraction
+        x = rng.uniform(8.0, 30.0, 2000) * rng.choice([-1.0, 1.0], 2000)
+        near = x + 1j * 10 ** rng.uniform(-300.0, -2.0, 2000)
+        z = np.concatenate([self.exterior(20_000, 13), huge, large, near])
         z = z[rng.permutation(z.size)]
-        w = w_cf_external(z)
-        assert all(w_cf_external(z[i:i + 1])[0] == w[i] for i in range(z.size))
-        assert all(w_cf_external(complex(z[i])) == w[i] for i in range(z.size))
+        w = fn(z)
+        assert all(fn(z[i:i + 1])[0] == w[i] for i in range(z.size))
+        assert all(fn(complex(z[i])) == w[i] for i in range(z.size))
         for k in range(1, 9):
-            assert np.array_equal(w_cf_external(z[k:]), w[k:])
+            assert np.array_equal(fn(z[k:]), w[k:])
         for s in (2, 3):
-            assert np.array_equal(w_cf_external(z[::s]), w[::s])
+            assert np.array_equal(fn(z[::s]), w[::s])
         for n in range(2, 34):
-            assert np.array_equal(w_cf_external(z[:n]), w[:n])
+            assert np.array_equal(fn(z[:n]), w[:n])
         square = z[:20_000].reshape(40, 500)
-        assert np.array_equal(w_cf_external(square), w[:20_000].reshape(40, 500))
+        assert np.array_equal(fn(square), w[:20_000].reshape(40, 500))
 
 
 class TestFadsamp:

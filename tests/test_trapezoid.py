@@ -20,7 +20,7 @@ from voigt2dom import (
     wtrap_midpoint,
     wtrap_offset,
 )
-from voigt2dom.trapezoid import _EXP_SWITCH, _residue_correction
+from voigt2dom.trapezoid import _EXP_SWITCH, _node_sum, _residue_correction
 
 
 class TestTrapParams:
@@ -310,3 +310,28 @@ class TestOverflowSafety:
         w = rule(z)
         assert w.shape == z.shape
         assert np.array_equal(w, np.array([rule(complex(v)) for v in z.ravel()]).reshape(z.shape))
+
+
+class TestResidueUnderflow:
+    """Where y^2 - x^2 < -746, exp(-z^2) underflows to 0 in both forms of the
+    residue term, so the term is 0 and no exponential is computed."""
+
+    @staticmethod
+    def points():
+        # |x| from 27.4 to 1e3 with either sign, y on either side of the axis
+        rng = np.random.default_rng(746)
+        n = 20_000
+        x = 10 ** rng.uniform(math.log10(27.4), 3.0, n) * rng.choice([-1.0, 1.0], n)
+        y = np.sqrt(x * x - 746.0) * rng.uniform(-0.999, 0.999, n)
+        return x + 1j * y
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_term_is_zero(self, sign):
+        assert np.all(_residue_correction(self.points(), TrapParams().h, sign) == 0)
+
+    def test_rules_are_their_node_sums_bit_for_bit(self):
+        z, p = self.points(), TrapParams()
+        corrected = _node_sum(z, p, 0, 0.5)
+        offset = (1j * p.h / math.pi) / z + _node_sum(z, p, 1, 0.0)
+        assert np.array_equal(wtrap_corrected(z).view(np.int64), corrected.view(np.int64))
+        assert np.array_equal(wtrap_offset(z).view(np.int64), offset.view(np.int64))
