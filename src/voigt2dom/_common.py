@@ -5,9 +5,12 @@ caller's typed error for a bad one.  An evaluator whose points take
 different formulas flattens the array with ``arr.ravel()`` and hands it to
 :func:`in_blocks`, the one splitter, with its mask function and branches:
 each block's values go into its slice of the call's one output, so every
-temporary is sized by the block however long the input is.  Every result goes
-back through :func:`restore_shape`: an array input gives an array of the
-same shape, and a scalar input a Python ``complex``, ``float`` or ``int``.
+temporary is sized by the block however long the input is.  A block whose
+first partial mask changes value at least once per 64 points (:data:`_RUN`;
+scattered points) is gathered and scattered by integer index, and one made
+of long runs (a sorted line) by boolean mask.  Every result goes back
+through :func:`restore_shape`: an array input gives an array of the same
+shape, and a scalar input a Python ``complex``, ``float`` or ``int``.
 Every scalar parameter is checked by :func:`positive` and every optional
 parameter object by :func:`option`.  A formula that can overflow or divide
 by zero on some finite input runs inside :class:`typed_float_errors`.
@@ -22,6 +25,12 @@ from .exceptions import InputDomainError, ParameterError
 # points per block: every temporary of a call is sized by the block, not by
 # the input (1 MiB for a complex128 one)
 _BLOCK = 1 << 16
+
+# a block's masks are gathered by integer index when its first partial mask
+# has at least one transition per this many points, else by boolean mask:
+# numpy copies a boolean selection run by run (~55 ns a run), and an index
+# one costs ~1 ns per block point plus ~4 ns per selected point
+_RUN = 64
 
 
 def positive(value, name, integer=False, error=ParameterError):
@@ -102,18 +111,31 @@ def in_blocks(flat, masks, fns):
     goes into the block's slice of the one output.  A branch is called only
     for a mask that selects some point, and a mask that selects the whole
     block hands it the block itself, a view of ``flat``, with no gather or
-    scatter: a branch must never write to its argument.  Callers build
-    ``fns`` on each call, reading module globals then, so that a module
-    attribute rebound at run time (a profiler's wrapper) is used.
+    scatter: a branch must never write to its argument.  The first mask that
+    selects part of the block decides, once per block, how every partial
+    mask is applied: with at least one transition per ``_RUN`` (64) points
+    it is fragmented, and the points are gathered with ``np.flatnonzero``
+    plus ``take`` and scattered by that index; otherwise by the boolean mask,
+    which copies long runs faster.  Either way a branch gets its points in
+    input order, as a new contiguous array.  Callers build ``fns`` on each
+    call, reading module globals then, so that a module attribute rebound at
+    run time (a profiler's wrapper) is used.
     """
     out = np.empty(flat.shape, dtype=np.complex128)
     for s in range(0, flat.size, _BLOCK):
         block, dest = flat[s:s + _BLOCK], out[s:s + _BLOCK]
+        scattered = None
         for mask, fn in tuple(zip(masks(block), fns, strict=True)):
             if mask.all():
                 dest[...] = fn(block)
             elif mask.any():
-                dest[mask] = fn(block[mask])
+                if scattered is None:
+                    scattered = np.count_nonzero(mask[1:] != mask[:-1]) * _RUN >= mask.size
+                if scattered:
+                    idx = np.flatnonzero(mask)
+                    dest[idx] = fn(block.take(idx))
+                else:
+                    dest[mask] = fn(block[mask])
     return out
 
 

@@ -202,14 +202,15 @@ def w_continued_fraction(z, depth=11):
     ``(i/sqrt(pi)) / (z - T/2)``: folding it keeps the real part accurate near
     the real axis, where one division for the whole fraction would not.  The
     value agrees with the level-by-level fold to rounding (within 2e-15
-    relative for |z| >= 8).  Where a real or imaginary part exceeds
-    ``10^(300/(depth + 1))`` it is the leading term ``(i/sqrt(pi))/z``, finite
-    up to the largest float.  Deeper fractions are folded bottom-up, level
-    by level, since their rational coefficients are no longer exact.
+    relative for |z| >= 8).  Deeper fractions are folded bottom-up, level
+    by level, since their rational coefficients are no longer exact.  Where
+    a real or imaginary part exceeds ``10^(300/(min(depth, 24) + 1))`` the
+    value is the leading term ``(i/sqrt(pi))/z``, finite up to the largest
+    float.
     """
     depth = positive(depth, "depth", integer=True)
     if depth > _CF_RATIONAL_DEPTH:
-        return _fold(z, depth)
+        return _cf_points(z, depth, lambda v: _fold(v, depth))
 
     def outer(v):
         tail = _cf_rational(v, 2, depth)
@@ -244,18 +245,20 @@ def w_cf_external(z):
 
 
 def _cf_points(z, depth, fn):
-    """``fn`` at the points of ``z``; the leading term past ``10^(300/(depth + 1))``.
+    """``fn`` at the points of ``z``; the leading term past ``10^(300/(min(depth, 24) + 1))``.
 
     There a real or imaginary part is so large that ``z^(depth + 1)`` may
-    overflow, and every level of the fraction rounds ``z - E`` to ``z``.  One
-    min/max pass over the float pairs decides; masks are built only when it
-    fails.  A point's value does not depend on the rest of the batch: numpy
-    rounds an in-place product on a one-element array differently, so ``fn``
-    gets such an array doubled.
+    overflow, and every level of the fraction rounds ``z - E`` to ``z``.  A
+    fold (depth > 24) forms no power of ``z``, and its bound stays depth 24's
+    1e12: at depth 100 its own would be 934, where the leading term is off
+    by 6e-7.  One min/max pass over the float pairs decides; masks are
+    built only when it fails.  A point's value does not depend on the rest
+    of the batch: numpy rounds an in-place product on a one-element array
+    differently, so ``fn`` gets such an array doubled.
     """
     zz = as_array(z, np.complex128, "z")
     flat = zz.ravel()
-    big = 10.0 ** (300.0 / (depth + 1))
+    big = 10.0 ** (300.0 / (min(depth, _CF_RATIONAL_DEPTH) + 1))
 
     def each(v):
         return fn(np.repeat(v, 2))[:1] if v.size == 1 else fn(v)
@@ -322,21 +325,17 @@ def _cf_rational(v, first, last):
     return num
 
 
-def _fold(z, depth):
-    """The Laplace continued fraction of the given depth, folded bottom-up."""
-    zz = as_array(z, np.complex128, "z")
-    flat = zz.ravel()
-    with typed_float_errors():
-        # two reusable buffers; fresh temporaries per level would dominate the
-        # run time of large whole-array calls
-        frac = np.divide(0.5 * depth, flat)
-        den = np.empty_like(flat)
-        for k in range(depth - 1, 0, -1):
-            np.subtract(flat, frac, out=den)
-            np.divide(0.5 * k, den, out=frac)
-        np.subtract(flat, frac, out=den)
-        out = np.divide(1j / SQRT_PI, den, out=frac)
-    return restore_shape(out, zz)
+def _fold(v, depth):
+    """The Laplace continued fraction of the given depth at the 1-D points ``v``, folded bottom-up."""
+    # two reusable buffers; fresh temporaries per level would dominate the
+    # run time of large whole-array calls
+    frac = np.divide(0.5 * depth, v)
+    den = np.empty_like(v)
+    for k in range(depth - 1, 0, -1):
+        np.subtract(v, frac, out=den)
+        np.divide(0.5 * k, den, out=frac)
+    np.subtract(v, frac, out=den)
+    return np.divide(1j / SQRT_PI, den, out=frac)
 
 
 def fadsamp(z, coeffs=None):

@@ -1,11 +1,13 @@
 """Tests for the command-line interface: flags, CSV formats, exit codes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import oracle
 from voigt2dom import fadsamp
-from voigt2dom.cli import BenchSpec, main, run_benchmark
+from voigt2dom.cli import BenchSpec, main, part_error, run_benchmark
 from voigt2dom.exceptions import VoigtError
 
 
@@ -140,6 +142,36 @@ class TestEval:
                    "--x-range", "0:1:5", "--out", str(tmp_path / "o.csv")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestPartError:
+    @staticmethod
+    def values():
+        """Seeded values and references whose parts include +0.0 and -0.0,
+        with a value part equal to a zero reference part."""
+        rng = np.random.default_rng(7)
+        ref = rng.normal(size=200) + 1j * rng.normal(size=200)
+        ref.real[:20], ref.real[20:40] = 0.0, -0.0
+        ref.imag[40:60], ref.imag[60:80] = 0.0, -0.0
+        vals = ref * (1.0 + 1e-14 * rng.normal(size=200)) + 1e-15 * rng.normal(size=200)
+        vals[:10] = ref[:10]
+        vals[40:50] = ref[40:50]
+        return vals, ref
+
+    @pytest.mark.parametrize("metric", ["abs", "rel"])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_matches_the_masked_formula(self, part, metric):
+        vals, ref = self.values()
+        before = vals.tobytes(), ref.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = part_error(vals, ref, part, metric)
+        a, b = (vals.real, ref.real) if part == "re" else (vals.imag, ref.imag)
+        diff = np.abs(a - b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = diff if metric == "abs" else np.where(b != 0, diff / np.abs(b), diff)
+        assert err.dtype == np.float64 and np.array_equal(err, want)
+        assert (vals.tobytes(), ref.tobytes()) == before
 
 
 class TestErrmap:

@@ -83,6 +83,75 @@ def test_in_blocks_wants_one_mask_per_branch():
         in_blocks(flat, lambda b: (b > -2.0,), (np.negative, np.positive))
 
 
+_SIZES = [1, 2, 63, 64, 65, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17]
+
+
+def _mask(kind, n):
+    """One mask of ``n`` points: scattered (random, alternating) or in runs."""
+    i = np.arange(n)
+    rng = np.random.default_rng(n)
+    return {
+        "random50": rng.random(n) < 0.5,
+        "random1": rng.random(n) < 0.01,
+        "one_run": (i >= n // 4) & (i < n - n // 4),
+        # a sorted line's exterior
+        "two_runs": (i < n // 4) | (i >= n - n // 4),
+        "alternating": i % 2 == 0,
+    }[kind]
+
+
+def _split_in_blocks(flat, first):
+    """``in_blocks`` over ``flat`` with masks ``first``, then the rest split by i % 3."""
+    rest = np.arange(flat.size) % 3 == 0
+    global_masks = (first, ~first & rest, ~first & ~rest)
+    start = [0]
+    calls = {0: [], 1: [], 2: []}
+
+    def masks(block):
+        s = start[0]
+        start[0] += block.size
+        return tuple(m[s:s + block.size] for m in global_masks)
+
+    fns = (lambda v: v * v + 1j, np.exp, lambda v: 1.0 / (v - 0.5j))
+    out = in_blocks(flat, masks, tuple(_recording(calls[i], i, fn) for i, fn in enumerate(fns)))
+    return out, global_masks, fns, calls
+
+
+@pytest.mark.parametrize("n", _SIZES)
+@pytest.mark.parametrize("kind", ["random50", "random1", "one_run", "two_runs", "alternating"])
+def test_both_gather_paths_give_the_masked_values(kind, n):
+    rng = np.random.default_rng([n, 1])
+    flat = rng.uniform(-3.0, 3.0, n) + 1j * rng.uniform(0.0, 3.0, n)
+    out, masks, fns, calls = _split_in_blocks(flat, _mask(kind, n))
+    ref = np.empty(n, dtype=np.complex128)
+    for m, fn in zip(masks, fns):
+        if m.any():
+            ref[m] = fn(flat[m])
+    assert np.array_equal(out, ref)
+    for i, m in enumerate(masks):
+        # exactly its points, in input order, and never an empty selection
+        assert all(v.size for _, v in calls[i])
+        got = np.concatenate([v for _, v in calls[i]]) if calls[i] else flat[:0]
+        assert np.array_equal(got, flat[m])
+
+
+@pytest.mark.parametrize("kind, by_index", [
+    ("random50", True), ("random1", True), ("alternating", True),
+    ("one_run", False), ("two_runs", False),
+])
+def test_fragmented_blocks_are_gathered_by_index(kind, by_index, monkeypatch):
+    indexed = []
+
+    def flatnonzero(m):
+        indexed.append(m.size)
+        return np.nonzero(np.ravel(m))[0]
+
+    monkeypatch.setattr(np, "flatnonzero", flatnonzero)
+    flat = np.linspace(-3.0, 3.0, _BLOCK)
+    _split_in_blocks(flat, _mask(kind, _BLOCK))
+    assert bool(indexed) == by_index
+
+
 _X = np.linspace(-3.0, 3.0, 257)
 _FAR = np.linspace(50.0, 60.0, 257)
 

@@ -215,11 +215,20 @@ class TestContinuedFraction:
         for depth in (_CF_RATIONAL_DEPTH + 1, 40):
             assert np.array_equal(w_continued_fraction(z, depth), _fold(z, depth))
 
-    @pytest.mark.parametrize("depth", [1, 4, 11, 16, _CF_RATIONAL_DEPTH])
+    @pytest.mark.parametrize("depth", [25, 32, 40, 100])
+    def test_deeper_fractions_below_1e12_are_the_fold(self, depth):
+        # no part past depth 24's bound 1e12: the fold itself, at any depth
+        z = self.outside(2000, depth)
+        z = z[np.maximum(np.abs(z.real), np.abs(z.imag)) <= 1e12]
+        for points in (z, z[:2]):
+            assert np.array_equal(w_continued_fraction(points, depth), _fold(points, depth))
+
+    @pytest.mark.parametrize("depth", [1, 4, 11, 16, _CF_RATIONAL_DEPTH, 25, 32, 40, 100])
     def test_leading_term_is_the_fold_bit_for_bit(self, depth):
-        # past 10^(300/(depth + 1)) in either part, up to where the fold overflows
+        # past 10^(300/(min(depth, 24) + 1)) in either part, up to where the
+        # fold overflows
         rng = np.random.default_rng(depth)
-        big = 10 ** rng.uniform(300.0 / (depth + 1) + 0.01, 300.0, 2000)
+        big = 10 ** rng.uniform(300.0 / (min(depth, _CF_RATIONAL_DEPTH) + 1) + 0.01, 300.0, 2000)
         small = 10 ** rng.uniform(-300.0, 300.0, 2000)
         z = np.concatenate([big * rng.choice([-1.0, 1.0], 2000) + 1j * small, small + 1j * big])
         assert np.array_equal(w_continued_fraction(z, depth), _fold(z, depth))
@@ -263,7 +272,10 @@ class TestContinuedFraction:
         w_simple_rational,
         lambda z: w_continued_fraction(z, 11),
         lambda z: w_continued_fraction(z, 16),
-    ], ids=["fadsamp", "w_simple_rational", "cf11", "cf16"])
+        lambda z: w_continued_fraction(z, 25),
+        lambda z: w_continued_fraction(z, 32),
+        lambda z: w_continued_fraction(z, 40),
+    ], ids=["fadsamp", "w_simple_rational", "cf11", "cf16", "cf25", "cf32", "cf40"])
     def test_finite_at_the_largest_float(self, fn):
         x, y = 1.7976931348623155e308, 2.32e300
         v = fn(x + 1j * y)

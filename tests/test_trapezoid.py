@@ -20,7 +20,7 @@ from voigt2dom import (
     wtrap_midpoint,
     wtrap_offset,
 )
-from voigt2dom.trapezoid import _EXP_SWITCH, _node_sum, _residue_correction
+from voigt2dom.trapezoid import _EXP_SWITCH, _Z_MAX, _as_z, _node_sum, _residue_correction
 
 
 class TestTrapParams:
@@ -215,6 +215,33 @@ class TestDispatch:
                 fn(z)
             with pytest.raises(InputDomainError):
                 fn(np.array([1 + 1j, z]))
+
+    @pytest.mark.parametrize("z", [1e154 + 0j, 7.07e153 * (1 + 1j)])
+    def test_rules_accept_modulus_up_to_1e154(self, z):
+        assert _as_z(z) == z
+        assert np.isfinite(wtrap_midpoint(np.array([1 + 1j, z]))).all()
+
+    # |z| ~ 1.004e154, and the next float past 1e154
+    @pytest.mark.parametrize("z", [7.1e153 * (1 + 1j), 1.0000000000000002e154 + 0j])
+    def test_rules_reject_modulus_just_past_1e154(self, z):
+        for fn in (_as_z, wtrap_midpoint, wtrap_corrected, wtrap_offset):
+            with pytest.raises(InputDomainError):
+                fn(z)
+            with pytest.raises(InputDomainError):
+                fn(np.array([1 + 1j, z]))
+
+    def test_modulus_check_is_the_modulus_test(self):
+        # parts about 1e154/sqrt(2), where the min/max pass passes points on
+        # to np.abs: each point is rejected exactly when |z| > 1e154
+        rng = np.random.default_rng(154)
+        parts = (1e154 / math.sqrt(2.0)) * (1.0 + 1e-15 * rng.integers(-3, 4, (2, 400)))
+        z = parts[0] * rng.choice([-1.0, 1.0], 400) + 1j * parts[1]
+        for v in z:
+            if abs(v) > _Z_MAX:
+                with pytest.raises(InputDomainError):
+                    _as_z(v)
+            else:
+                assert _as_z(v) == v
 
     def test_accurate_on_the_domain_edge(self):
         # a few ulp inside the circle, so rounding in exp cannot push |z| past it
