@@ -1,16 +1,18 @@
 """Shared input coercion, block splitter and the shape/scalar convention.
 
 Every array argument goes through :func:`as_array`, which raises the
-caller's typed error for a bad one.  An evaluator whose points take
-different formulas flattens the array with ``arr.ravel()`` and hands it to
-:func:`in_blocks`, the one splitter, with its mask function and branches:
-each block's values go into its slice of the call's one output, so every
-temporary is sized by the block however long the input is.  A block whose
-first partial mask changes value at least once per 64 points (:data:`_RUN`;
-scattered points) is gathered and scattered by integer index, and one made
-of long runs (a sorted line) by boolean mask.  Every result goes back
-through :func:`restore_shape`: an array input gives an array of the same
-shape, and a scalar input a Python ``complex``, ``float`` or ``int``.
+caller's typed error for a bad one.  A component formula runs through
+:func:`pointwise`, so that a point's value is the same in a scalar and in
+any array.  An evaluator whose points take different formulas flattens
+the array with ``arr.ravel()`` and hands it to :func:`in_blocks`, the one
+splitter, with its mask function and branches: each block's values go
+into its slice of the call's one output, so every temporary is sized by
+the block however long the input is.  A block whose first partial mask
+changes value at least once per 64 points (:data:`_RUN`; scattered
+points) is gathered and scattered by integer index, and one made of long
+runs (a sorted line) by boolean mask.  Every result goes back through
+:func:`restore_shape`: an array input gives an array of the same shape,
+and a scalar input a Python ``complex``, ``float`` or ``int``.
 Every scalar parameter is checked by :func:`positive` and every optional
 parameter object by :func:`option`.  A formula that can overflow or divide
 by zero on some finite input runs inside :class:`typed_float_errors`.
@@ -63,14 +65,14 @@ def option(value, default, name):
 
 
 def as_array(x, dtype, name, error=InputDomainError):
-    """Coerce the array argument ``x`` to a ``dtype`` ndarray of finite values.
+    """Coerce the array argument ``x`` to a C-ordered ``dtype`` ndarray of finite values.
 
     An ``x`` with no ``dtype`` conversion (str, None, a ragged sequence, a
     Python int beyond the float range), a complex ``x`` for float64 and NaN
     or Inf raise ``error``.
     """
     try:
-        arr = np.asarray(x)
+        arr = np.asarray(x, order="C")    # so that every later ravel is a view
         if not (dtype == np.float64 and np.iscomplexobj(arr)):
             arr = arr.astype(dtype, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -142,3 +144,15 @@ def in_blocks(flat, masks, fns):
 def restore_shape(values, arr):
     """Give ``values`` the shape of ``arr``, or a Python scalar if ``arr`` is 0-d."""
     return values.reshape(arr.shape) if arr.ndim else values.item()
+
+
+def pointwise(arr, fn):
+    """``fn``, from 1-D points to a new array of values, at ``arr`` in :class:`typed_float_errors`.
+
+    The values take ``arr``'s shape.  numpy rounds an in-place product on a
+    0-d or one-element array differently, so ``fn`` gets a single point doubled.
+    """
+    flat = arr.ravel()
+    with typed_float_errors():
+        out = fn(np.repeat(flat, 2))[:1] if flat.size == 1 else fn(flat)
+    return restore_shape(out, arr)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import option, positive
+from ._common import positive
 from .core import fadsamp, w_continued_fraction
 from .exceptions import ParameterError, VoigtError
 from .oracle import reference_values
@@ -153,10 +153,9 @@ def cmd_errmap(args, parser):
     return 0
 
 
-def run_benchmark(spec, config=None):
+def run_benchmark(spec):
     """Execute the benchmark protocol; returns rows of
     (algorithm, half_range, mean_seconds)."""
-    config = option(config, TwoDomainConfig(), "config")
     results = []
     for name in spec.algorithms:
         fn = _ALGORITHMS[name]
@@ -164,7 +163,7 @@ def run_benchmark(spec, config=None):
             xs = np.linspace(-a, a, spec.point_count)
             t0 = time.perf_counter()
             for _ in range(spec.repeats):
-                fn(xs, spec.y, config)
+                fn(xs, spec.y, None)
             mean = (time.perf_counter() - t0) / spec.repeats
             results.append((name, a, mean))
     return results

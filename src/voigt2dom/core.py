@@ -24,9 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import (
-    as_array, in_blocks, option, positive, restore_shape, typed_float_errors,
-)
+from ._common import as_array, in_blocks, option, pointwise, positive, restore_shape
 from .exceptions import InputDomainError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -141,9 +139,9 @@ def w_sampling(z, coeffs=None):
     denominators bounded away from zero on the target domain.
     """
     co = option(coeffs, _DEFAULT_COEFFS, "coeffs")
-    zz = as_array(z, np.complex128, "z")
-    with typed_float_errors():
-        u = zz + 0.5j * co.params.varsigma
+
+    def kernel(v):
+        u = v + 0.5j * co.params.varsigma
         u2 = u * u
 
         acc = np.zeros_like(u)
@@ -156,7 +154,9 @@ def w_sampling(z, coeffs=None):
             np.subtract(c2m, u2, out=den)
             num /= den
             acc += num
-    return restore_shape(acc, zz)
+        return acc
+
+    return pointwise(as_array(z, np.complex128, "z"), kernel)
 
 
 def w_symmetrized(z, coeffs=None):
@@ -167,14 +167,14 @@ def w_symmetrized(z, coeffs=None):
     the real axis and therefore keeps the real part accurate as y -> 0+.
     """
     co = option(coeffs, _DEFAULT_COEFFS, "coeffs")
-    zz = as_array(z, np.complex128, "z")
-    with typed_float_errors():
-        z2 = zz * zz
+
+    def kernel(v):
+        z2 = v * v
         z4 = z2 * z2
 
-        acc = np.zeros_like(zz)
-        num = np.empty_like(zz)
-        den = np.empty_like(zz)
+        acc = np.zeros_like(v)
+        num = np.empty_like(v)
+        den = np.empty_like(v)
         for al, be, ga, th in zip(co.alpha, co.beta, co.gamma, co.theta):
             np.multiply(z2, be, out=num)
             np.subtract(al, num, out=num)
@@ -183,8 +183,9 @@ def w_symmetrized(z, coeffs=None):
             den += z4
             num /= den
             acc += num
-        out = np.exp(-z2) + zz * acc
-    return restore_shape(out, zz)
+        return np.exp(-z2) + v * acc
+
+    return pointwise(as_array(z, np.complex128, "z"), kernel)
 
 
 # up to this depth every coefficient of the fraction's rational form is a
@@ -251,28 +252,25 @@ def _cf_points(z, depth, fn):
     overflow, and every level of the fraction rounds ``z - E`` to ``z``.  A
     fold (depth > 24) forms no power of ``z``, and its bound stays depth 24's
     1e12: at depth 100 its own would be 934, where the leading term is off
-    by 6e-7.  One min/max pass over the float pairs decides; masks are
-    built only when it fails.  A point's value does not depend on the rest
-    of the batch: numpy rounds an in-place product on a one-element array
-    differently, so ``fn`` gets such an array doubled.
+    by 6e-7.  One min/max pass over the float pairs decides; only when it
+    fails are the points split, by :func:`in_blocks`, and the fraction's
+    branch goes through :func:`pointwise` too, since a block may hand it a
+    single point.
     """
     zz = as_array(z, np.complex128, "z")
-    flat = zz.ravel()
     big = 10.0 ** (300.0 / (min(depth, _CF_RATIONAL_DEPTH) + 1))
+    parts = zz.ravel().view(np.float64)
+    if -big <= parts.min(initial=0.0) and parts.max(initial=0.0) <= big:
+        return pointwise(zz, fn)
 
-    def each(v):
-        return fn(np.repeat(v, 2))[:1] if v.size == 1 else fn(v)
+    def masks(v):
+        lead = np.maximum(np.abs(v.real), np.abs(v.imag)) > big
+        return ~lead, lead
 
-    with typed_float_errors():
-        parts = flat.view(np.float64)
-        if -big <= parts.min(initial=0.0) and parts.max(initial=0.0) <= big:
-            out = each(flat)
-        else:
-            lead = np.maximum(np.abs(flat.real), np.abs(flat.imag)) > big
-            out = np.empty_like(flat)
-            out[~lead] = each(flat[~lead])
-            out[lead] = (0.5j / SQRT_PI) / (0.5 * flat[lead])
-    return restore_shape(out, zz)
+    return pointwise(zz, lambda flat: in_blocks(flat, masks, (
+        lambda v: pointwise(v, fn),
+        lambda v: (0.5j / SQRT_PI) / (0.5 * v),
+    )))
 
 
 @functools.cache

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import (
-    as_array, in_blocks, option, positive, restore_shape, typed_float_errors,
-)
+from ._common import as_array, in_blocks, option, pointwise, positive, restore_shape
 from .exceptions import InputDomainError, PoleProximityError
 
 __all__ = [
@@ -87,8 +85,8 @@ def _node_sum(zz, p, first, shift):
     return (2j * p.h / math.pi) * zz * acc
 
 
-def _residue_correction(zz, h, sign):
-    """2 exp(-z^2) / (1 +- exp(-2 i pi z / h)), overflow-safe for large Im z.
+def _residue_correction(flat, h, sign):
+    """2 exp(-z^2) / (1 +- exp(-2 i pi z / h)) at 1-D points, overflow-safe for large Im z.
 
     ``sign`` is +1 for the half-integer (midpoint) node lattice and -1 for
     the integer lattice, which puts the correction poles exactly on the
@@ -109,8 +107,8 @@ def _residue_correction(zz, h, sign):
     ``e**(-z^2)`` may overflow.
     """
     c = 2.0 * math.pi / h
-    y = zz.imag
-    if np.any((y >= 0.5 * c) & (y * (y - c) >= zz.real * zz.real)):
+    y = flat.imag
+    if np.any((y >= 0.5 * c) & (y * (y - c) >= flat.real * flat.real)):
         raise InputDomainError(
             "the residue-corrected rules have no correct digit where "
             "y >= pi/h and y^2 - x^2 - 2 pi y / h >= 0"
@@ -134,7 +132,7 @@ def _residue_correction(zz, h, sign):
         is_small = c * v.imag <= _EXP_SWITCH
         return zero, ~zero & is_small, ~(zero | is_small)
 
-    return in_blocks(zz.ravel(), masks, (np.zeros_like, small, big)).reshape(zz.shape)
+    return in_blocks(flat, masks, (np.zeros_like, small, big))
 
 
 def _as_z(z):
@@ -166,10 +164,7 @@ def wtrap_midpoint(z, params=None):
     returned as computed, off by that correction.
     """
     p = option(params, _DEFAULT_PARAMS, "params")
-    zz = _as_z(z)
-    with typed_float_errors():
-        out = _node_sum(zz, p, 0, 0.5)
-    return restore_shape(out, zz)
+    return pointwise(_as_z(z), lambda v: _node_sum(v, p, 0, 0.5))
 
 
 def wtrap_corrected(z, params=None):
@@ -188,10 +183,8 @@ def wtrap_corrected(z, params=None):
     :class:`InputDomainError` for E >= 0, where no digit is correct.
     """
     p = option(params, _DEFAULT_PARAMS, "params")
-    zz = _as_z(z)
-    with typed_float_errors():
-        out = _residue_correction(zz, p.h, +1.0) + _node_sum(zz, p, 0, 0.5)
-    return restore_shape(out, zz)
+    return pointwise(_as_z(z), lambda v: (
+        _residue_correction(v, p.h, +1.0) + _node_sum(v, p, 0, 0.5)))
 
 
 def wtrap_offset(z, params=None):
@@ -213,13 +206,8 @@ def wtrap_offset(z, params=None):
     zz = _as_z(z)
     if np.any(np.abs(zz) < _POLE_TOL):
         raise PoleProximityError("offset rule has a pole at z = 0")
-    with typed_float_errors():
-        out = (
-            _residue_correction(zz, p.h, -1.0)
-            + (1j * p.h / math.pi) / zz
-            + _node_sum(zz, p, 1, 0.0)
-        )
-    return restore_shape(out, zz)
+    return pointwise(zz, lambda v: (
+        _residue_correction(v, p.h, -1.0) + (1j * p.h / math.pi) / v + _node_sum(v, p, 1, 0.0)))
 
 
 def _masks(flat, p):

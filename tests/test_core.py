@@ -30,6 +30,7 @@ from voigt2dom import (
     wtrap_midpoint,
     wtrap_offset,
 )
+from voigt2dom._common import _BLOCK
 from voigt2dom.core import _CF_RATIONAL_DEPTH, _cf_coefficients, _fold
 
 SQRT_PI = math.sqrt(math.pi)
@@ -364,7 +365,8 @@ class TestCfExternal:
         lambda z: w_continued_fraction(z, 11),
         lambda z: w_continued_fraction(z, 16),
         fadsamp,
-    ], ids=["w_cf_external", "cf11", "cf16", "fadsamp"])
+        w_simple_rational,
+    ], ids=["w_cf_external", "cf11", "cf16", "fadsamp", "w_simple_rational"])
     def test_no_value_depends_on_the_batch(self, fn):
         rng = np.random.default_rng(13)
         sign = rng.choice([-1.0, 1.0], 200)
@@ -374,18 +376,83 @@ class TestCfExternal:
         x = rng.uniform(8.0, 30.0, 2000) * rng.choice([-1.0, 1.0], 2000)
         near = x + 1j * 10 ** rng.uniform(-300.0, -2.0, 2000)
         z = np.concatenate([self.exterior(20_000, 13), huge, large, near])
-        z = z[rng.permutation(z.size)]
-        w = fn(z)
-        assert all(fn(z[i:i + 1])[0] == w[i] for i in range(z.size))
-        assert all(fn(complex(z[i])) == w[i] for i in range(z.size))
-        for k in range(1, 9):
-            assert np.array_equal(fn(z[k:]), w[k:])
-        for s in (2, 3):
-            assert np.array_equal(fn(z[::s]), w[::s])
-        for n in range(2, 34):
-            assert np.array_equal(fn(z[:n]), w[:n])
-        square = z[:20_000].reshape(40, 500)
-        assert np.array_equal(fn(square), w[:20_000].reshape(40, 500))
+        assert_batch_free(fn, z[rng.permutation(z.size)])
+
+    @pytest.mark.parametrize("fn", [
+        w_cf_external,
+        lambda z: w_continued_fraction(z, 11),
+        lambda z: w_continued_fraction(z, 16),
+        lambda z: w_continued_fraction(z, 30),
+    ], ids=["w_cf_external", "cf11", "cf16", "cf30"])
+    def test_leading_term_points_leave_the_others_alone(self, fn):
+        # the leading-term points split the batch, and the fraction's
+        # branch gets z0 alone
+        for z0 in self.exterior(3000, 17):
+            assert fn([z0, 1e70 + 1j, -3e65 + 2j])[0] == fn(z0)
+
+    @pytest.mark.parametrize("fn", [
+        w_cf_external,
+        lambda z: w_continued_fraction(z, 11),
+        lambda z: w_continued_fraction(z, 30),
+    ], ids=["w_cf_external", "cf11", "cf30"])
+    def test_split_by_blocks_gives_the_per_point_values(self, fn):
+        lead = np.array([1e70 + 1j, -3e65 + 2j, 2e300 + 5e299j, 1e200j])
+        pool = np.concatenate([self.exterior(2000, 19), lead])
+        n = 3 * _BLOCK + 17
+        rng = np.random.default_rng(23)
+        is_lead = rng.random(n) < 0.5                   # block 0: scattered
+        is_lead[_BLOCK:2 * _BLOCK] = True               # block 1: one ordinary point
+        is_lead[_BLOCK + 12_345] = False
+        is_lead[2 * _BLOCK:2 * _BLOCK + 40_000] = False  # block 2: two runs
+        is_lead[3 * _BLOCK:] = True                     # the tail: one ordinary point
+        is_lead[3 * _BLOCK + 5] = False
+        ordinary = pool.size - lead.size
+        idx = np.where(is_lead, rng.integers(ordinary, pool.size, n), rng.integers(0, ordinary, n))
+        each = np.array([fn(complex(v)) for v in pool])
+        assert np.array_equal(fn(pool[idx]), each[idx])
+
+
+def assert_batch_free(fn, z):
+    """``fn``'s value at each point of the 1-D ``z`` is the same in every batch, view and layout."""
+    w = fn(z)
+    assert all(fn(z[i:i + 1])[0] == w[i] for i in range(z.size))
+    assert all(fn(complex(z[i])) == w[i] for i in range(z.size))
+    for k in range(1, 9):
+        assert np.array_equal(fn(z[k:]), w[k:])
+    for s in (2, 3):
+        assert np.array_equal(fn(z[::s]), w[::s])
+    for n in range(2, 34):
+        assert np.array_equal(fn(z[:n]), w[:n])
+    m = z.size - z.size % 40
+    square = w[:m].reshape(40, -1)
+    assert np.array_equal(fn(z[:m].reshape(40, -1)), square)
+    assert np.array_equal(fn(np.asfortranarray(z[:m].reshape(40, -1))), square)
+
+
+def _in_trap_branch(branch):
+    """Seeded points that :func:`wtrap` gives to ``branch``, inside that rule's domain."""
+    rng = np.random.default_rng(21)
+    z = rng.uniform(-60.0, 60.0, 6000) + 1j * 10 ** rng.uniform(-6.0, 2.0, 6000)
+    return z[wtrap_branches(z) == branch]
+
+
+def _inner():
+    """Seeded points with |z| <= 8 on both sides of y = 0.05 x."""
+    rng = np.random.default_rng(4)
+    z = rng.uniform(-8.0, 8.0, 4000) + 1j * 10 ** rng.uniform(-8.0, 0.9, 4000)
+    return z[np.abs(z) <= 8.0]
+
+
+@pytest.mark.parametrize("fn, points", [
+    (w_sampling, _inner),
+    (w_symmetrized, _inner),
+    (wtrap_midpoint, lambda: _in_trap_branch(1)),
+    (wtrap_offset, lambda: _in_trap_branch(2)),
+    (wtrap_corrected, lambda: _in_trap_branch(3)),
+], ids=["w_sampling", "w_symmetrized", "wtrap_midpoint", "wtrap_offset", "wtrap_corrected"])
+def test_no_inner_value_depends_on_the_batch(fn, points):
+    """As for the fractions: a scalar's value is its value in any array."""
+    assert_batch_free(fn, points())
 
 
 class TestFadsamp:
