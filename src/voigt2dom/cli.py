@@ -125,17 +125,11 @@ def part_error(values, reference, part, metric):
     imaginary part on the x = 0 axis)."""
     a = values.real if part == "re" else values.imag
     b = reference.real if part == "re" else reference.imag
-    # in place on two new arrays: the error map of a plane batch is a
-    # visible share of its time
-    diff = np.subtract(a, b)
-    np.abs(diff, out=diff)
+    diff = np.abs(a - b)
     if metric == "abs":
         return diff
-    rel = np.abs(b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(diff, rel, out=rel)
-    np.copyto(rel, diff, where=b == 0)
-    return rel
+        return np.where(b == 0, diff, diff / np.abs(b))
 
 
 def cmd_errmap(args, parser):

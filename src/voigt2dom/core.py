@@ -325,15 +325,10 @@ def _cf_rational(v, first, last):
 
 def _fold(v, depth):
     """The Laplace continued fraction of the given depth at the 1-D points ``v``, folded bottom-up."""
-    # two reusable buffers; fresh temporaries per level would dominate the
-    # run time of large whole-array calls
-    frac = np.divide(0.5 * depth, v)
-    den = np.empty_like(v)
+    frac = 0.5 * depth / v
     for k in range(depth - 1, 0, -1):
-        np.subtract(v, frac, out=den)
-        np.divide(0.5 * k, den, out=frac)
-    np.subtract(v, frac, out=den)
-    return np.divide(1j / SQRT_PI, den, out=frac)
+        frac = 0.5 * k / (v - frac)
+    return (1j / SQRT_PI) / (v - frac)
 
 
 def fadsamp(z, coeffs=None):

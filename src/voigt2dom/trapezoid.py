@@ -39,8 +39,6 @@ _EXP_ZERO = -746.0
 
 # every rule squares z, and z * z overflows past |z| = sqrt(max float) ~ 1.34e154
 _Z_MAX = 1e154
-# no part beyond this, and |z| <= _Z_MAX (hypot(_PART_MAX, _PART_MAX) rounds to it)
-_PART_MAX = _Z_MAX / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -136,16 +134,8 @@ def _residue_correction(flat, h, sign):
 
 
 def _as_z(z):
-    """Coerce ``z`` and reject |z| > 1e154, where ``z * z`` overflows.
-
-    One min/max pass over the float pairs decides: no part beyond
-    ``1e154/sqrt(2)`` bounds every ``|z|`` by 1e154, and only otherwise is
-    ``|z|`` computed.
-    """
+    """Coerce ``z`` and reject |z| > 1e154, where ``z * z`` overflows."""
     zz = as_array(z, np.complex128, "z")
-    parts = zz.ravel().view(np.float64)
-    if -_PART_MAX <= parts.min(initial=0.0) and parts.max(initial=0.0) <= _PART_MAX:
-        return zz
     if np.any(np.abs(zz) > _Z_MAX):
         raise InputDomainError(f"the trapezoidal rules require |z| <= {_Z_MAX:g}")
     return zz

@@ -242,10 +242,7 @@ class TwoDomainEvaluator:
         """Spline values inside the disk, with exp(-x**2) added back if subtracted."""
         w = eval_spline(self.spline, x)
         if self.gauss_sub:
-            # add exp(-x**2) back in place, through one temporary
-            gauss = np.square(x)
-            np.exp(np.negative(gauss, out=gauss), out=gauss)
-            np.add(w.real, gauss, out=w.real)
+            w.real += np.exp(-x * x)
         return w
 
     def _exterior(self, x):

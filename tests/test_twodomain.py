@@ -218,6 +218,20 @@ class TestEvaluate:
         assert np.array_equal(ev(xs1, opt=3), evaluate(xs1, 0.2, opt=3))
         assert np.array_equal(ev(xs2, opt=3), evaluate(xs2, 0.2, opt=3))
 
+    @pytest.mark.parametrize("y", [5e-9, 1e-8, 1e-3, 0.2499, 0.25, 1.0, 34.999, 35.0, 50.0])
+    def test_evaluate_is_the_evaluator_bit_for_bit(self, rng, y):
+        # the guard for any path that only evaluate() takes, such as a table
+        # built for the intervals one call hits
+        ev = TwoDomainEvaluator(y)
+        knots = ev.grid if ev.grid is not None else []
+        xs = rng.permutation(np.concatenate([knots, [-ev.edge, ev.edge, 0.0, -35.0, 35.0, 5e-324]]))
+        n = xs.size // 2
+        for x in (xs, float(xs[0]), xs[:1], xs[:2 * n].reshape(2, n)):
+            got = np.atleast_1d(evaluate(x, y, opt=3))
+            want = np.atleast_1d(ev(x, opt=3))
+            assert got.shape == want.shape == np.shape(np.atleast_1d(x))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_pluggable_generator(self):
         calls = []
 
