@@ -19,6 +19,8 @@ from voigt2dom import (
     build_spline,
     eval_spline,
 )
+from voigt2dom._common import _BLOCK
+from voigt2dom.spline import _DENSE
 
 
 def cubic(x):
@@ -356,6 +358,13 @@ def _interval_spline(knots):
     return CubicSpline(np.asarray(knots, dtype=float), coeffs, complex(n - 2))
 
 
+def _without_index(s):
+    """A copy of ``s`` with no bucket index: only the run lookup can evaluate it."""
+    t = CubicSpline(s.knots, s.coeffs, s.right_value)
+    object.__setattr__(t, "index", None)
+    return t
+
+
 def _hard_queries(knots, rng):
     """Every knot, both of its float neighbours inside the range, +-0 and random points."""
     k = np.asarray(knots, dtype=float)
@@ -377,6 +386,10 @@ class TestBucketIndex:
         want = np.searchsorted(np.asarray(knots)[1:-1], q, side="right")
         got = eval_spline(_interval_spline(knots), q)
         assert np.array_equal(got.real, want) and not got.imag.any()
+        # every interval holds at least 32 sorted points, so the runs answer
+        dense = np.repeat(np.sort(q), 32)
+        got = eval_spline(_without_index(_interval_spline(knots)), dense)
+        assert np.array_equal(got.real, np.repeat(np.sort(want), 32)) and not got.imag.any()
 
     @pytest.mark.parametrize("density", ["basic", "enhanced"])
     @pytest.mark.parametrize("y", [1e-8, 1e-5, 1e-2, 0.25, 1.0, 10.0, 34.9])
@@ -416,3 +429,82 @@ class TestBucketIndex:
         for mine, theirs in zip(s.index, built):
             assert np.array_equal(mine, theirs)
         assert "index" not in repr(s)
+
+
+def _bits(w):
+    return np.asarray(w).view(np.uint64)
+
+
+class TestRunLookup:
+    """A sorted, dense block takes its intervals by run, bit for bit the bucket lookup's."""
+
+    @staticmethod
+    def _spline(knots, rng):
+        n = len(knots)
+        return build_spline(knots, rng.normal(size=n) + 1j * rng.normal(size=n))
+
+    @staticmethod
+    def _same_as_shuffled(s, q, rng):
+        perm = rng.permutation(q.size)
+        assert np.array_equal(_bits(eval_spline(s, q)[perm]), _bits(eval_spline(s, q[perm])))
+
+    @pytest.mark.parametrize("per", [1, 15, _DENSE, 17, 300])
+    def test_points_per_spanned_interval(self, per, rng):
+        knots = np.sort(rng.uniform(-5.0, 5.0, 60))
+        s = self._spline(knots, rng)
+        # ``per`` points inside each of intervals 10 .. 39, one of them on its left knot
+        span = knots[10:41]
+        q = np.sort(np.concatenate([
+            span[:-1], *(rng.uniform(a, b, per - 1) for a, b in zip(span[:-1], span[1:]))
+        ]))
+        q = q[q < span[-1]]
+        assert q.size == 30 * per
+        self._same_as_shuffled(s, q, rng)
+        if per >= _DENSE:
+            assert np.array_equal(_bits(eval_spline(_without_index(s), q)), _bits(eval_spline(s, q)))
+        else:
+            with pytest.raises(AttributeError):
+                eval_spline(_without_index(s), q)
+
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_runs_of_an_end_knot(self, end, rng):
+        s = self._spline(np.sort(rng.uniform(-5.0, 5.0, 20)), rng)
+        q = np.full(300, s.knots[end])
+        got = eval_spline(_without_index(s), q)
+        assert np.array_equal(_bits(got), _bits(eval_spline(s, q[:1]).repeat(300)))
+        if end == -1:   # the right endpoint returns the data, not the last cubic
+            assert (got == s.right_value).all()
+        # 600 points over 19 intervals, all of them in the first and last
+        both = np.concatenate([np.full(300, s.knots[0]), np.full(300, s.knots[-1])])
+        assert np.array_equal(_bits(eval_spline(_without_index(s), both)), _bits(eval_spline(s, both)))
+        self._same_as_shuffled(s, both, rng)
+
+    def test_one_interval(self, rng):
+        s = self._spline(np.array([-1.0, 0.5, 2.0, 3.0]), rng)
+        q = np.sort(rng.uniform(0.5, 2.0, 100))
+        assert np.array_equal(_bits(eval_spline(_without_index(s), q)), _bits(eval_spline(s, q)))
+        self._same_as_shuffled(s, q, rng)
+
+    def test_out_of_order_blocks_fall_back(self, rng):
+        s = self._spline(np.sort(rng.uniform(-5.0, 5.0, 40)), rng)
+        q = np.sort(rng.uniform(s.knots[0], s.knots[-1], 40 * 300))
+        want = eval_spline(s, q)
+        swapped = q.copy()
+        swapped[[500, 501]] = swapped[[501, 500]]
+        for bad, order in ((q[::-1], np.arange(q.size)[::-1]), (swapped, np.r_[:500, 501, 500, 502:q.size])):
+            with pytest.raises(AttributeError):
+                eval_spline(_without_index(s), bad)
+            assert np.array_equal(_bits(eval_spline(s, bad)), _bits(want[order]))
+
+    @pytest.mark.parametrize("y", [5e-9, 1e-8, 0.01, 0.2499, 1.0, 34.999])
+    @pytest.mark.parametrize("shape", ["line_core", "line_wing", "many_lines"])
+    def test_evaluator_sorted_against_shuffled(self, y, shape, rng):
+        n = 3 * _BLOCK + 17
+        xs = {
+            "line_core": lambda: np.linspace(-10.0, 10.0, n),
+            "line_wing": lambda: np.linspace(-1000.0, 1000.0, n),
+            "many_lines": lambda: np.sort(rng.uniform(-50.0, 50.0, n)),
+        }[shape]()
+        ev = TwoDomainEvaluator(y)
+        perm = rng.permutation(n)
+        assert np.array_equal(_bits(ev(xs, 3)[perm]), _bits(ev(xs[perm], 3)))
