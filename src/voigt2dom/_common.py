@@ -7,12 +7,14 @@ any array.  An evaluator whose points take different formulas flattens
 the array with ``arr.ravel()`` and hands it to :func:`in_blocks`, the one
 splitter, with its mask function and branches: each block's values go
 into its slice of the call's one output, so every temporary is sized by
-the block however long the input is.  A block whose first partial mask
-changes value at least once per 64 points (:data:`_RUN`; scattered
-points) is gathered and scattered by integer index, and one made of long
-runs (a sorted line) by boolean mask.  Every result goes back through
-:func:`restore_shape`: an array input gives an array of the same shape,
-and a scalar input a Python ``complex``, ``float`` or ``int``.
+the block however long the input is, and a block that one branch takes
+whole reaches it in slices of :data:`_STREAM` points, which fit in cache.
+A block whose first partial mask changes value at least once per 64
+points (:data:`_RUN`; scattered points) is gathered and scattered by
+integer index, and one made of long runs (a sorted line) by boolean mask.
+Every result goes back through :func:`restore_shape`: an array input
+gives an array of the same shape, and a scalar input a Python
+``complex``, ``float`` or ``int``.
 Every scalar parameter is checked by :func:`positive` and every optional
 parameter object by :func:`option`.  A formula that can overflow or divide
 by zero on some finite input runs inside :class:`typed_float_errors`.
@@ -27,6 +29,11 @@ from .exceptions import InputDomainError, ParameterError
 # points per block: every temporary of a call is sized by the block, not by
 # the input (1 MiB for a complex128 one)
 _BLOCK = 1 << 16
+
+# points per call of a branch that takes a whole block: 256 KiB per complex
+# temporary, so the two-domain exterior fraction's five of them stay in a
+# 2 MiB L2 cache where a block's 1 MiB ones would not
+_STREAM = 1 << 14
 
 # a block's masks are gathered by integer index when its first partial mask
 # has at least one transition per this many points, else by boolean mask:
@@ -103,7 +110,7 @@ class typed_float_errors(np.errstate):
             raise self.error(f"no finite binary64 value for this input ({exc})") from exc
 
 
-def in_blocks(flat, masks, fns):
+def in_blocks(flat, masks, fns, whole=False):
     """Complex128 values of the branches ``fns`` on the 1-D points ``flat``.
 
     Each block of at most ``_BLOCK`` points is split by ``masks(block)``, one
@@ -112,9 +119,11 @@ def in_blocks(flat, masks, fns):
     A branch maps its selected points to a new array of their values, which
     goes into the block's slice of the one output.  A branch is called only
     for a mask that selects some point, and a mask that selects the whole
-    block hands it the block itself, a view of ``flat``, with no gather or
-    scatter: a branch must never write to its argument.  The first mask that
-    selects part of the block decides, once per block, how every partial
+    block hands it the block's consecutive views of at most ``_STREAM``
+    points, so that its temporaries fit in cache, with no gather or scatter:
+    a branch must never write to its argument.  With ``whole`` it gets the
+    block itself in one call instead.  The first mask that selects part of
+    the block decides, once per block, how every partial
     mask is applied: with at least one transition per ``_RUN`` (64) points
     it is fragmented, and the points are gathered with ``np.flatnonzero``
     plus ``take`` and scattered by that index; otherwise by the boolean mask,
@@ -124,12 +133,14 @@ def in_blocks(flat, masks, fns):
     run time (a profiler's wrapper) is used.
     """
     out = np.empty(flat.shape, dtype=np.complex128)
+    step = _BLOCK if whole else _STREAM
     for s in range(0, flat.size, _BLOCK):
         block, dest = flat[s:s + _BLOCK], out[s:s + _BLOCK]
         scattered = None
         for mask, fn in tuple(zip(masks(block), fns, strict=True)):
             if mask.all():
-                dest[...] = fn(block)
+                for t in range(0, block.size, step):
+                    dest[t:t + step] = fn(block[t:t + step])
             elif mask.any():
                 if scattered is None:
                     scattered = np.count_nonzero(mask[1:] != mask[:-1]) * _RUN >= mask.size

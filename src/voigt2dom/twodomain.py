@@ -167,7 +167,10 @@ class TwoDomainEvaluator:
 
     A call is one :func:`voigt2dom._common.in_blocks` run over blocks of
     ``voigt2dom._common._BLOCK`` abscissas, each split on ``edge``, and a
-    projection of the result.
+    projection of the result.  A block that lies wholly inside or wholly
+    outside the disk goes to its branch in slices of
+    ``voigt2dom._common._STREAM`` (16 384) abscissas, except on the bypass;
+    a split block gathers each side whole.
 
     Parameters
     ----------
@@ -219,7 +222,9 @@ class TwoDomainEvaluator:
         """Evaluate at abscissas ``xs``; see :func:`evaluate`."""
         opt = _output_option(opt)
         xq = as_array(xs, np.float64, "xs")
-        w = in_blocks(xq.ravel(), self._masks, (self._interior, self._exterior))
+        # on the bypass the generator is called once per block, as documented
+        w = in_blocks(xq.ravel(), self._masks, (self._interior, self._exterior),
+                      whole=self.bypass)
         if opt is OutputOption.REAL_PART:
             w = np.ascontiguousarray(w.real)
         elif opt is OutputOption.IMAG_PART:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from voigt2dom import TwoDomainEvaluator, fadsamp, reference_values, wtrap
+from voigt2dom import TwoDomainEvaluator, _common, fadsamp, reference_values, wtrap
 from voigt2dom._common import _BLOCK, in_blocks
 
 
@@ -100,7 +100,7 @@ def _mask(kind, n):
     }[kind]
 
 
-def _split_in_blocks(flat, first):
+def _split_in_blocks(flat, first, whole=False):
     """``in_blocks`` over ``flat`` with masks ``first``, then the rest split by i % 3."""
     rest = np.arange(flat.size) % 3 == 0
     global_masks = (first, ~first & rest, ~first & ~rest)
@@ -113,7 +113,8 @@ def _split_in_blocks(flat, first):
         return tuple(m[s:s + block.size] for m in global_masks)
 
     fns = (lambda v: v * v + 1j, np.exp, lambda v: 1.0 / (v - 0.5j))
-    out = in_blocks(flat, masks, tuple(_recording(calls[i], i, fn) for i, fn in enumerate(fns)))
+    out = in_blocks(flat, masks, tuple(_recording(calls[i], i, fn) for i, fn in enumerate(fns)),
+                    whole)
     return out, global_masks, fns, calls
 
 
@@ -150,6 +151,28 @@ def test_fragmented_blocks_are_gathered_by_index(kind, by_index, monkeypatch):
     flat = np.linspace(-3.0, 3.0, _BLOCK)
     _split_in_blocks(flat, _mask(kind, _BLOCK))
     assert bool(indexed) == by_index
+
+
+# branch 0 takes the first block whole, and the other two share the rest
+@pytest.mark.parametrize("stream", [5000, _BLOCK, 2 * _BLOCK])
+def test_whole_blocks_stream_in_slices(stream, monkeypatch):
+    monkeypatch.setattr(_common, "_STREAM", stream)
+    flat = np.linspace(-3.0, 3.0, 2 * _BLOCK + 9)
+    first = np.arange(flat.size) < _BLOCK
+    out, _, _, calls = _split_in_blocks(flat, first)
+    ref, _, _, ref_calls = _split_in_blocks(flat, first, whole=True)
+    assert out.tobytes() == ref.tobytes()
+    assert [(np.shares_memory(v, flat), v.size) for _, v in ref_calls[0]] == [(True, _BLOCK)]
+    # consecutive in-order views of flat, of at most stream points, that cover the block
+    views = [v for _, v in calls[0]]
+    assert all(np.shares_memory(v, flat) and v.size <= stream for v in views)
+    assert [(v.ctypes.data - flat.ctypes.data) // flat.itemsize for v in views] == \
+        list(range(0, _BLOCK, stream))
+    assert sum(v.size for v in views) == _BLOCK
+    # the partial masks' branches get the calls they get without slices
+    for i in (1, 2):
+        assert len(calls[i]) == len(ref_calls[i]) == 2
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(calls[i], ref_calls[i]))
 
 
 _X = np.linspace(-3.0, 3.0, 257)

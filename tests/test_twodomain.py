@@ -20,7 +20,7 @@ from voigt2dom import (
     w_cf_external,
 )
 from voigt2dom import twodomain
-from voigt2dom._common import _BLOCK
+from voigt2dom._common import _BLOCK, _STREAM
 from voigt2dom.spline import eval_spline
 from voigt2dom.twodomain import _GAUSS_SUB_Y
 
@@ -382,6 +382,41 @@ class TestBlocking:
         assert np.array_equal(w[ext], ev(xs[ext], opt=3))
         assert np.array_equal(w[ext], w_cf_external(xs[ext] + 1j * y))
         assert np.array_equal(w[~ext], ev(xs[~ext], opt=3))
+
+    # sorted lines shaped like the line_core and line_wing workloads
+    @pytest.mark.parametrize("y", [1e-8, 0.2, 20.0])
+    @pytest.mark.parametrize("half_width", [10.0, 1000.0])
+    def test_whole_blocks_reach_the_branches_in_slices(self, monkeypatch, y, half_width):
+        xs = np.linspace(-half_width, half_width, 3 * _BLOCK + 17)
+        ev = TwoDomainEvaluator(y)
+        sizes = {"interior": [], "exterior": []}
+
+        def recording(name, fn):
+            def branch(*args):     # the points are the last argument
+                sizes[name].append(args[-1].size)
+                return fn(*args)
+            return branch
+
+        monkeypatch.setattr(twodomain, "eval_spline", recording("interior", eval_spline))
+        monkeypatch.setattr(twodomain, "w_cf_external", recording("exterior", w_cf_external))
+        w = ev(xs, opt=3)
+        # a branch that takes a whole block gets it in slices of at most
+        # _STREAM points; a block split at the disk gathers each side whole
+        expected = {"interior": [], "exterior": []}
+        for s in range(0, xs.size, _BLOCK):
+            inside = np.abs(xs[s:s + _BLOCK]) <= ev.edge
+            for name, mask in (("interior", inside), ("exterior", ~inside)):
+                if mask.all():
+                    expected[name] += [min(_STREAM, mask.size - t)
+                                       for t in range(0, mask.size, _STREAM)]
+                elif mask.any():
+                    expected[name].append(np.count_nonzero(mask))
+        assert sizes == expected
+        if half_width == 10.0:
+            assert max(sizes["interior"]) <= _STREAM and not sizes["exterior"]
+        pieces = np.concatenate([ev(xs[t:t + _STREAM], opt=3)
+                                 for t in range(0, xs.size, _STREAM)])
+        assert np.array_equal(w.view(np.uint64), pieces.view(np.uint64))
 
     def test_bypass_runs_in_blocks(self, rng):
         y = 5e-9
