@@ -110,7 +110,7 @@ class typed_float_errors(np.errstate):
             raise self.error(f"no finite binary64 value for this input ({exc})") from exc
 
 
-def in_blocks(flat, masks, fns, whole=False):
+def in_blocks(flat, masks, fns):
     """Complex128 values of the branches ``fns`` on the 1-D points ``flat``.
 
     Each block of at most ``_BLOCK`` points is split by ``masks(block)``, one
@@ -121,9 +121,8 @@ def in_blocks(flat, masks, fns, whole=False):
     for a mask that selects some point, and a mask that selects the whole
     block hands it the block's consecutive views of at most ``_STREAM``
     points, so that its temporaries fit in cache, with no gather or scatter:
-    a branch must never write to its argument.  With ``whole`` it gets the
-    block itself in one call instead.  The first mask that selects part of
-    the block decides, once per block, how every partial
+    a branch must never write to its argument.  The first mask that selects
+    part of the block decides, once per block, how every partial
     mask is applied: with at least one transition per ``_RUN`` (64) points
     it is fragmented, and the points are gathered with ``np.flatnonzero``
     plus ``take`` and scattered by that index; otherwise by the boolean mask,
@@ -133,14 +132,13 @@ def in_blocks(flat, masks, fns, whole=False):
     run time (a profiler's wrapper) is used.
     """
     out = np.empty(flat.shape, dtype=np.complex128)
-    step = _BLOCK if whole else _STREAM
     for s in range(0, flat.size, _BLOCK):
         block, dest = flat[s:s + _BLOCK], out[s:s + _BLOCK]
         scattered = None
         for mask, fn in tuple(zip(masks(block), fns, strict=True)):
             if mask.all():
-                for t in range(0, block.size, step):
-                    dest[t:t + step] = fn(block[t:t + step])
+                for t in range(0, block.size, _STREAM):
+                    dest[t:t + _STREAM] = fn(block[t:t + _STREAM])
             elif mask.any():
                 if scattered is None:
                     scattered = np.count_nonzero(mask[1:] != mask[:-1]) * _RUN >= mask.size

@@ -169,8 +169,8 @@ class TwoDomainEvaluator:
     ``voigt2dom._common._BLOCK`` abscissas, each split on ``edge``, and a
     projection of the result.  A block that lies wholly inside or wholly
     outside the disk goes to its branch in slices of
-    ``voigt2dom._common._STREAM`` (16 384) abscissas, except on the bypass;
-    a split block gathers each side whole.
+    ``voigt2dom._common._STREAM`` (16 384) abscissas; a split block gathers
+    each side whole.
 
     Parameters
     ----------
@@ -182,8 +182,9 @@ class TwoDomainEvaluator:
         from its values through the differential equation.  It must return
         numeric values of its argument's shape, all finite; anything else
         raises :class:`ParameterError`.  It is called at x >= 0 only: once
-        per build, on the grid's non-negative half, and on the bypass once
-        per block, at |x|; x < 0 takes the conjugate mirror of those values.
+        per build, on the grid's non-negative half, and on the bypass on
+        slices of at most ``voigt2dom._common._STREAM`` abscissas, at |x|;
+        x < 0 takes the conjugate mirror of those values.
         Defaults to :func:`voigt2dom.core.fadsamp`.
     """
 
@@ -222,9 +223,7 @@ class TwoDomainEvaluator:
         """Evaluate at abscissas ``xs``; see :func:`evaluate`."""
         opt = _output_option(opt)
         xq = as_array(xs, np.float64, "xs")
-        # on the bypass the generator is called once per block, as documented
-        w = in_blocks(xq.ravel(), self._masks, (self._interior, self._exterior),
-                      whole=self.bypass)
+        w = in_blocks(xq.ravel(), self._masks, (self._interior, self._exterior))
         if opt is OutputOption.REAL_PART:
             w = np.ascontiguousarray(w.real)
         elif opt is OutputOption.IMAG_PART:

@@ -8,7 +8,7 @@ from voigt2dom import (
     InputDomainError, OracleDomainError, TwoDomainEvaluator, core, fadsamp, oracle,
     reference_values, trapezoid, twodomain, wtrap, wtrap_branches,
 )
-from voigt2dom._common import _BLOCK
+from voigt2dom._common import _BLOCK, _STREAM
 
 # evaluator -> (module whose globals it reaches its branches through, branch names)
 _BRANCHES = {
@@ -50,6 +50,36 @@ def test_no_branch_gets_more_than_a_block(monkeypatch, points, name):
     assert all(len(s) == blocks for s in sizes.values()), sizes
     assert max(max(s) for s in sizes.values()) <= _BLOCK
     assert sum(sum(s) for s in sizes.values()) == points.size
+
+
+# sorted points that all take one branch: |z| > 8, y >= max(pi/h, |x|), |z| <= 2
+_ONE_BRANCH = {
+    "fadsamp": ("w_continued_fraction", lambda x: 8.5 + 30.0 * (x + 1.0) + 0.5j),
+    "wtrap": ("wtrap_midpoint", lambda x: 5.0 * x + 10j),
+    "reference_values": ("_series_values", lambda x: 1.5 * x + 0.5j),
+}
+
+
+@pytest.mark.parametrize("name", list(_BRANCHES))
+def test_whole_blocks_reach_their_branch_in_slices(monkeypatch, name):
+    fn, module, _ = _BRANCHES[name]
+    branch, line = _ONE_BRANCH[name]
+    z = line(np.linspace(-1.0, 1.0, 3 * _BLOCK + 17))
+    want = fn(z)
+    calls = []
+    inner = getattr(module, branch)
+
+    def recording(v, *args):
+        calls.append(v)
+        return inner(v, *args)
+
+    monkeypatch.setattr(module, branch, recording)
+    got = fn(z)
+    # consecutive slices of at most _STREAM points that cover the input in order
+    assert len(calls) == 3 * (_BLOCK // _STREAM) + 1
+    assert max(v.size for v in calls) <= _STREAM
+    assert np.array_equal(np.concatenate(calls), z)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("name", list(_BRANCHES))

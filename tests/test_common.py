@@ -100,7 +100,7 @@ def _mask(kind, n):
     }[kind]
 
 
-def _split_in_blocks(flat, first, whole=False):
+def _split_in_blocks(flat, first):
     """``in_blocks`` over ``flat`` with masks ``first``, then the rest split by i % 3."""
     rest = np.arange(flat.size) % 3 == 0
     global_masks = (first, ~first & rest, ~first & ~rest)
@@ -113,8 +113,7 @@ def _split_in_blocks(flat, first, whole=False):
         return tuple(m[s:s + block.size] for m in global_masks)
 
     fns = (lambda v: v * v + 1j, np.exp, lambda v: 1.0 / (v - 0.5j))
-    out = in_blocks(flat, masks, tuple(_recording(calls[i], i, fn) for i, fn in enumerate(fns)),
-                    whole)
+    out = in_blocks(flat, masks, tuple(_recording(calls[i], i, fn) for i, fn in enumerate(fns)))
     return out, global_masks, fns, calls
 
 
@@ -156,11 +155,13 @@ def test_fragmented_blocks_are_gathered_by_index(kind, by_index, monkeypatch):
 # branch 0 takes the first block whole, and the other two share the rest
 @pytest.mark.parametrize("stream", [5000, _BLOCK, 2 * _BLOCK])
 def test_whole_blocks_stream_in_slices(stream, monkeypatch):
-    monkeypatch.setattr(_common, "_STREAM", stream)
     flat = np.linspace(-3.0, 3.0, 2 * _BLOCK + 9)
     first = np.arange(flat.size) < _BLOCK
+    # the reference: slices as long as a block, so one call per whole block
+    monkeypatch.setattr(_common, "_STREAM", _BLOCK)
+    ref, _, _, ref_calls = _split_in_blocks(flat, first)
+    monkeypatch.setattr(_common, "_STREAM", stream)
     out, _, _, calls = _split_in_blocks(flat, first)
-    ref, _, _, ref_calls = _split_in_blocks(flat, first, whole=True)
     assert out.tobytes() == ref.tobytes()
     assert [(np.shares_memory(v, flat), v.size) for _, v in ref_calls[0]] == [(True, _BLOCK)]
     # consecutive in-order views of flat, of at most stream points, that cover the block

@@ -419,6 +419,7 @@ class TestBlocking:
         assert np.array_equal(w.view(np.uint64), pieces.view(np.uint64))
 
     def test_bypass_runs_in_blocks(self, rng):
+        # every block is the bypass's whole exterior: 4 + 4 + 1 slices
         y = 5e-9
         xs = rng.uniform(-40.0, 40.0, 2 * _BLOCK + 17)
         sizes = []
@@ -428,8 +429,8 @@ class TestBlocking:
             return fadsamp(z)
 
         w = evaluate(xs, y, opt=3, generator=gen)
-        assert np.array_equal(w, mirrored_fadsamp(xs, y))
-        assert len(sizes) == 3 and max(sizes) <= _BLOCK
+        assert np.array_equal(w.view(np.uint64), mirrored_fadsamp(xs, y).view(np.uint64))
+        assert len(sizes) == 9 and max(sizes) <= _STREAM and sum(sizes) == xs.size
 
     @pytest.mark.parametrize("y", [0.1, 1.0, 20.0])
     def test_edge_is_the_last_interior_abscissa(self, y):
