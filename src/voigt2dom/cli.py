@@ -211,6 +211,8 @@ def build_parser():
         description="Voigt / complex error function evaluation, error maps and benchmarks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    density = dict(choices=("basic", "enhanced"), default="basic",
+                   help="node density of --algo twodom; fadsamp, wtrap and cf ignore it")
 
     p_eval = sub.add_parser("eval", help="evaluate an algorithm on a set of abscissas")
     p_eval.add_argument("--algo", required=True, choices=_ALGORITHMS)
@@ -221,7 +223,7 @@ def build_parser():
     source.add_argument("--input", metavar="CSV", help="read abscissas from a CSV first column")
     p_eval.add_argument("--part", choices=("re", "im", "both"), default="both")
     p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--density", choices=("basic", "enhanced"), default="basic")
+    p_eval.add_argument("--density", **density)
     p_eval.add_argument("--opt", type=int, choices=(1, 2, 3))
     p_eval.set_defaults(func=cmd_eval)
 
@@ -233,7 +235,7 @@ def build_parser():
     p_map.add_argument("--metric", choices=("abs", "rel"), default="rel")
     p_map.add_argument("--part", choices=("re", "im"), default="re")
     p_map.add_argument("--out", required=True)
-    p_map.add_argument("--density", choices=("basic", "enhanced"), default="basic")
+    p_map.add_argument("--density", **density)
     p_map.set_defaults(func=cmd_errmap)
 
     p_bench = sub.add_parser("bench", help="run-time comparison of the algorithms")

@@ -1,6 +1,6 @@
 """Adaptive two-domain Faddeeva evaluator.
 
-The complex plane is split at ``|x + iy| = r`` (default r = 35).  Inside the
+The complex plane is split at ``|x + iy| = r`` (r = 35).  Inside the
 disk the function is interpolated by a complex cubic Hermite table through
 node values on a y-dependent logarithmic grid whose point count grows as y
 shrinks, ``N_gp = 1/sqrt(y) + delta``; outside, the 4-level continued
@@ -28,6 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,33 +62,27 @@ class OutputOption(IntEnum):
 
 @dataclass(frozen=True)
 class TwoDomainConfig:
-    """Tuning knobs of the two-domain scheme.
+    """The two-domain scheme's one setting, and its fixed constants.
 
-    radius
-        Boundary between the interpolated disk and the continued-fraction
-        exterior.
-    offset
-        Grid-count offset delta; keeps the node density adequate as y grows.
-    y_floor
-        Below this, interpolation is skipped and nodes are evaluated directly.
     density
         "basic" uses ``1/sqrt(y) + delta`` nodes per half-grid, "enhanced"
         uses ``2/sqrt(y) + 3 delta`` (about an order of magnitude more
         accurate).
-    epsilon_anchor
-        Smallest relative grid coordinate; pinned to 2**-52 so grids are
-        bit-reproducible across platforms.
+
+    The constants are class attributes, not constructor keywords.
+    ``radius`` splits the interpolated disk from the continued-fraction
+    exterior; ``offset`` is delta; below ``y_floor`` interpolation is skipped
+    and nodes are evaluated directly; ``epsilon_anchor``, the smallest
+    relative grid coordinate, keeps grids bit-reproducible across platforms.
     """
 
-    radius: float = 35.0
-    offset: float = 5e3
-    y_floor: float = 1e-8
+    radius: ClassVar[float] = 35.0
+    offset: ClassVar[float] = 5e3
+    y_floor: ClassVar[float] = 1e-8
+    epsilon_anchor: ClassVar[float] = 2.0**-52
     density: str = "basic"
-    epsilon_anchor: float = 2.0**-52
 
     def __post_init__(self):
-        for name in ("radius", "offset", "y_floor", "epsilon_anchor"):
-            object.__setattr__(self, name, positive(getattr(self, name), name))
         if self.density not in ("basic", "enhanced"):
             raise ParameterError(
                 f"density must be 'basic' or 'enhanced', got {self.density!r}"
@@ -111,7 +106,7 @@ def grid_count(y, config=None):
     """Number of interpolation nodes on the positive half-grid for this y.
 
     ``floor(1/sqrt(y) + delta)`` in basic density, ``floor(2/sqrt(y) +
-    3 delta)`` in enhanced density, clamped to >= 4 for spline validity.
+    3 delta)`` in enhanced density: at least 5 000 and 15 000.
     Requires ``y >= y_floor``; smaller y must take the direct-evaluation
     bypass instead.
     """
@@ -123,10 +118,8 @@ def grid_count(y, config=None):
             "the caller must use the direct-evaluation bypass"
         )
     if cfg.density == "basic":
-        raw = 1.0 / math.sqrt(y) + cfg.offset
-    else:
-        raw = 2.0 / math.sqrt(y) + 3.0 * cfg.offset
-    return max(int(raw), 4)
+        return int(1.0 / math.sqrt(y) + cfg.offset)
+    return int(2.0 / math.sqrt(y) + 3.0 * cfg.offset)
 
 
 def build_grid(y, config=None):
@@ -278,8 +271,8 @@ def evaluate(xs, y, opt=None, config=None, generator=None):
         Finite abscissas, any order (output preserves input ordering).
     y : positive real scalar
         Shared imaginary part, any positive finite float up to the largest.
-        Values below ``config.y_floor`` bypass interpolation and call the
-        generator directly, at |x|, with x < 0 taking the conjugate mirror.
+        Values below 1e-8 (``TwoDomainConfig.y_floor``) bypass the table:
+        the generator is called at |x|, with x < 0 taking the conjugate mirror.
     opt : {1, 2, 3} or OutputOption, optional
         1 returns the real part, 2 the imaginary part, 3 the complex values.
         Omitting it assigns the default 3 and emits

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle
-from voigt2dom import fadsamp
+from voigt2dom import TwoDomainConfig, evaluate, fadsamp
 from voigt2dom.cli import BenchSpec, main, part_error, run_benchmark
 from voigt2dom.exceptions import VoigtError
 
@@ -137,6 +137,20 @@ class TestEval:
         assert np.array_equal(again.real, re)
         assert np.array_equal(again.imag, im)
 
+    def test_enhanced_density_rows(self, tmp_path):
+        rows = {}
+        for density in ("basic", "enhanced"):
+            out = tmp_path / f"{density}.csv"
+            rc = main(["eval", "--algo", "twodom", "--density", density, "--y", "1e-3",
+                       "--x-range", "-40:40:801", "--part", "both", "--out", str(out)])
+            assert rc == 0
+            rows[density] = np.loadtxt(out, delimiter=",", skiprows=1)
+        xs, re, im = rows["enhanced"].T
+        want = evaluate(xs, 1e-3, 3, TwoDomainConfig(density="enhanced"))
+        assert np.array_equal(want.real, re)
+        assert np.array_equal(want.imag, im)
+        assert not np.array_equal(rows["basic"], rows["enhanced"])
+
     def test_math_error_exit_code(self, tmp_path, capsys):
         rc = main(["eval", "--algo", "wtrap", "--y", "-1",
                    "--x-range", "0:1:5", "--out", str(tmp_path / "o.csv")])
@@ -205,6 +219,15 @@ class TestErrmap:
         assert rc == 0
         val = float(capsys.readouterr().out.split("=", 1)[1])
         assert val <= 1e-10
+
+    # README's enhanced-density figures over the same region
+    @pytest.mark.parametrize("part, bound", [("re", 3.1e-13), ("im", 1.1e-12)])
+    def test_enhanced_density_map(self, part, bound, tmp_path, capsys):
+        rc = main(["errmap", "--algo", "twodom", "--density", "enhanced",
+                   "--x-range", "0:50:50", "--y-range", "1e-8:50:5",
+                   "--metric", "rel", "--part", part, "--out", str(tmp_path / "m.csv")])
+        assert rc == 0
+        assert float(capsys.readouterr().out.split("=", 1)[1]) <= bound
 
 
 class TestBench:

@@ -21,7 +21,6 @@ from voigt2dom import (
     ParameterError,
     SamplingParams,
     TrapParams,
-    TwoDomainConfig,
     calibrate,
     eval_spline,
     evaluate,
@@ -158,12 +157,6 @@ def test_int64_order_gives_the_int_values():
     assert np.array_equal(
         fadsamp(Z, voigt2dom.build_sampling_coefficients(p)), fadsamp(Z)
     )
-
-
-def test_float32_radius_is_accepted_like_a_float():
-    cfg = TwoDomainConfig(radius=np.float32(35.0))
-    assert cfg == TwoDomainConfig() and type(cfg.radius) is float
-    assert np.array_equal(evaluate(XS, 1e-3, opt=3, config=cfg), evaluate(XS, 1e-3, opt=3))
 
 
 # the package's public names, as listed in its __init__ before the names

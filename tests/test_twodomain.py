@@ -1,5 +1,7 @@
 """Tests for the adaptive two-domain evaluator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,9 +53,10 @@ class TestGridCount:
         with pytest.raises(InputDomainError):
             grid_count(0.99e-8)
 
-    def test_clamped_to_spline_minimum(self):
-        cfg = TwoDomainConfig(offset=0.5)
-        assert grid_count(100.0, cfg) == 4
+    @pytest.mark.parametrize("density, n", [("basic", 5000), ("enhanced", 15_000)])
+    def test_largest_y_keeps_the_offset(self, density, n):
+        # 1/sqrt(y) vanishes, so no grid has fewer nodes per half than this
+        assert grid_count(1.7976931348623157e308, TwoDomainConfig(density=density)) == n
 
     def test_invalid_y(self):
         with pytest.raises(InputDomainError):
@@ -91,19 +94,16 @@ class TestBuildGrid:
 
 
 class TestConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"radius": 0.0},
-            {"offset": -1.0},
-            {"y_floor": 0.0},
-            {"density": "extreme"},
-            {"epsilon_anchor": 0.0},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"density": "extreme"}])
     def test_invalid(self, kwargs):
         with pytest.raises(ParameterError):
             TwoDomainConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["radius", "offset", "y_floor", "epsilon_anchor"])
+    def test_constants_are_not_keywords(self, name):
+        assert [f.name for f in dataclasses.fields(TwoDomainConfig)] == ["density"]
+        with pytest.raises(TypeError):
+            TwoDomainConfig(**{name: getattr(TwoDomainConfig, name)})
 
     def test_defaults(self):
         cfg = TwoDomainConfig()
