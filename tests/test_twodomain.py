@@ -94,9 +94,20 @@ class TestBuildGrid:
 
 
 class TestConfig:
-    @pytest.mark.parametrize("kwargs", [{"density": "extreme"}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"radius": 0.0},
+            {"offset": -1.0},
+            {"y_floor": 0.0},
+            {"density": "extreme"},
+            {"epsilon_anchor": 0.0},
+        ],
+    )
     def test_invalid(self, kwargs):
-        with pytest.raises(ParameterError):
+        # density is the only field; the constants are no keywords at all
+        error = ParameterError if "density" in kwargs else TypeError
+        with pytest.raises(error):
             TwoDomainConfig(**kwargs)
 
     @pytest.mark.parametrize("name", ["radius", "offset", "y_floor", "epsilon_anchor"])
