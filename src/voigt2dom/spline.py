@@ -44,8 +44,19 @@ class BucketIndex(NamedTuple):
     steps: tuple
 
 
-def _bucket_index(knots):
-    """The :class:`BucketIndex` of strictly increasing ``knots``.
+def _knots(knots, least):
+    """Finite float64 ``knots``, not copied: 1-d, at least ``least``, strictly increasing."""
+    k = as_array(knots, np.float64, "knots", SplineConstructionError)
+    if k.ndim != 1 or k.size < least:
+        need = f"at least {least}" if k.ndim == 1 else "one-dimensional"
+        raise SplineConstructionError(f"knots must be {need}, got shape {k.shape}")
+    if not (k[:-1] < k[1:]).all():
+        raise SplineConstructionError("knots must be strictly increasing")
+    return k
+
+
+def _bucket_index(k):
+    """The :class:`BucketIndex` of knots ``k`` checked by :func:`_knots`.
 
     One bucket per knot: on a two-domain grid, whose knot gaps differ by at
     most 2x away from the +-r*eps centre pair, no bucket then holds more
@@ -54,7 +65,6 @@ def _bucket_index(knots):
     grids, but their 1.4x larger table costs more to build, once per ``y``,
     than that jump costs on a few thousand points.
     """
-    k = np.asarray(knots, dtype=np.float64)
     n = k.size
     scale = n / (k[-1] - k[0])
     inner = k[1:-1]
@@ -77,11 +87,11 @@ class CubicSpline:
     ``right_value`` is the data value at the last knot, kept so queries
     landing exactly on it are returned without polynomial rounding.
     ``index`` is the knots' :class:`BucketIndex`, built on construction.
-    Construction keeps a read-only copy of the knots and converts ``coeffs``
-    and ``right_value`` to complex; bad knots, a ``coeffs`` or
-    ``right_value`` with no complex conversion or a NaN or Inf in them, a
-    coeffs shape other than (4, n-1) or a non-scalar ``right_value`` raise
-    :class:`SplineConstructionError`.  A spline equals only itself.
+    Construction checks the knots by :func:`_knots` (at least 2) and keeps
+    a read-only copy of them.  ``coeffs`` and ``right_value`` are converted
+    to complex and must be finite, ``coeffs`` of shape (4, n-1) and
+    ``right_value`` a scalar, or :class:`SplineConstructionError` is raised.
+    A spline equals only itself.
     """
 
     knots: np.ndarray
@@ -90,9 +100,7 @@ class CubicSpline:
     index: BucketIndex = field(init=False, repr=False)
 
     def __post_init__(self):
-        k = as_array(self.knots, np.float64, "knots", SplineConstructionError).copy()
-        if k.ndim != 1 or k.size < 2 or not (k[:-1] < k[1:]).all():
-            raise SplineConstructionError("knots must be 1-d, strictly increasing and at least 2")
+        k = _knots(self.knots, 2).copy()
         c = as_array(self.coeffs, np.complex128, "coeffs", SplineConstructionError)
         if c.shape != (4, k.size - 1):
             raise SplineConstructionError(f"coeffs must have shape (4, {k.size - 1})")
@@ -113,31 +121,22 @@ def build_spline(knots, values, slopes=None):
     Parameters
     ----------
     knots : array_like of float
-        Strictly increasing, at least 4 entries.
+        Checked by :func:`_knots`, at least 4 of them.
     values : array_like of complex
-        Same length as ``knots``.
+        One per knot.
     slopes : array_like of complex, optional
-        First derivative at every knot, same length as ``knots``.
+        First derivative at every knot.
 
     Returns
     -------
     CubicSpline
     """
-    x = as_array(knots, np.float64, "knots", SplineConstructionError)
+    x = _knots(knots, 4)
     y = as_array(values, np.complex128, "values", SplineConstructionError)
-    if x.ndim != 1 or y.ndim != 1:
-        raise SplineConstructionError("knots and values must be one-dimensional")
-    if x.size != y.size:
-        raise SplineConstructionError(
-            f"length mismatch: {x.size} knots vs {y.size} values"
-        )
-    if x.size < 4:
-        raise SplineConstructionError("a spline needs at least 4 knots")
+    if y.shape != x.shape:
+        raise SplineConstructionError(f"values must be one-dimensional, one per knot, got {y.shape}")
     with typed_float_errors(SplineConstructionError):
         h = np.diff(x)
-        if np.any(h <= 0):
-            raise SplineConstructionError("knots must be strictly increasing")
-
         delta = np.diff(y) / h
         if slopes is None:
             m = _not_a_knot_slopes(x, y)

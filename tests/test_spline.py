@@ -47,6 +47,26 @@ class TestConstruction:
             with pytest.raises(SplineConstructionError, match="one-dimensional"):
                 build_spline(knots, values)
 
+    @pytest.mark.parametrize("knots, match", [
+        ([0.0, 1.0, 1.0, 2.0], "strictly increasing"),     # unchecked, h = 0 divides by zero
+        ([0.0, 2.0, 1.0, 3.0], "strictly increasing"),
+        (np.arange(8.0).reshape(2, 4), "one-dimensional"),
+        ([0.0, 1.0, np.nan, 3.0], "finite"),
+        ([0.0, np.inf, 2.0, 3.0], "finite"),
+    ])
+    def test_one_knot_rule_for_both_entry_points(self, knots, match):
+        n = np.size(knots)
+        messages = []
+        for construct in (
+            lambda: build_spline(knots, np.ones(n)),
+            lambda: build_spline(knots, np.ones(n), np.zeros(n)),
+            lambda: CubicSpline(knots, np.zeros((4, n - 1)), 0j),
+        ):
+            with pytest.raises(SplineConstructionError, match=match) as info:
+                construct()
+            messages.append(str(info.value))
+        assert len(set(messages)) == 1
+
     def test_nonfinite_rejected(self):
         with pytest.raises(SplineConstructionError):
             build_spline([0.0, 1.0, np.nan, 3.0], [0.0, 1.0, 2.0, 3.0])
