@@ -1,7 +1,11 @@
 """Shared input coercion, block splitter and the shape/scalar convention.
 
 Every array argument goes through :func:`as_array`, which raises the
-caller's typed error for a bad one.  A component formula runs through
+caller's typed error for a bad one.  A function whose own min/max bounds
+test on the array already fails on NaN and +-inf takes only the coercion,
+:func:`_coerce`, and where that test fails runs the finiteness pass,
+:func:`_finite`, before its own error, so a NaN or Inf still raises the
+same error with the same message.  A component formula runs through
 :func:`pointwise`, so that a point's value is the same in a scalar and in
 any array.  An evaluator whose points take different formulas flattens
 the array with ``arr.ravel()`` and hands it to :func:`in_blocks`, the one
@@ -78,6 +82,11 @@ def as_array(x, dtype, name, error=InputDomainError):
     Python int beyond the float range), a complex ``x`` for float64 and NaN
     or Inf raise ``error``.
     """
+    return _finite(_coerce(x, dtype, name, error), name, error)
+
+
+def _coerce(x, dtype, name, error=InputDomainError):
+    """:func:`as_array` without its finiteness pass."""
     try:
         arr = np.asarray(x, order="C")    # so that every later ravel is a view
         if not (dtype == np.float64 and np.iscomplexobj(arr)):
@@ -86,6 +95,11 @@ def as_array(x, dtype, name, error=InputDomainError):
         raise error(f"{name} must be numeric") from exc
     if arr.dtype != dtype:      # complex, left unconverted
         raise error(f"{name} must be real-valued")
+    return arr
+
+
+def _finite(arr, name, error=InputDomainError):
+    """``arr``, from :func:`_coerce`, if all its values are finite; else raise ``error``."""
     # complex values are tested as their float64 pairs, at about half the cost
     parts = arr.ravel().view(np.float64) if arr.dtype == np.complex128 else arr
     if not np.isfinite(parts).all():

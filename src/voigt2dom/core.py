@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import as_array, in_blocks, option, pointwise, positive, restore_shape
+from ._common import _coerce, _finite, as_array, in_blocks, option, pointwise, positive, restore_shape
 from .exceptions import InputDomainError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -252,16 +252,18 @@ def _cf_points(z, depth, fn):
     overflow, and every level of the fraction rounds ``z - E`` to ``z``.  A
     fold (depth > 24) forms no power of ``z``, and its bound stays depth 24's
     1e12: at depth 100 its own would be 934, where the leading term is off
-    by 6e-7.  One min/max pass over the float pairs decides; only when it
-    fails are the points split, by :func:`in_blocks`, and the fraction's
-    branch goes through :func:`pointwise` too, since a block may hand it a
-    single point.
+    by 6e-7.  One min/max pass over the float pairs decides, and stands in
+    for the finiteness pass, since NaN and +-inf fail it too; only when it
+    fails are the points checked to be finite and then split, by
+    :func:`in_blocks`, and the fraction's branch goes through
+    :func:`pointwise` too, since a block may hand it a single point.
     """
-    zz = as_array(z, np.complex128, "z")
+    zz = _coerce(z, np.complex128, "z")
     big = 10.0 ** (300.0 / (min(depth, _CF_RATIONAL_DEPTH) + 1))
     parts = zz.ravel().view(np.float64)
     if -big <= parts.min(initial=0.0) and parts.max(initial=0.0) <= big:
         return pointwise(zz, fn)
+    _finite(zz, "z")
 
     def masks(v):
         lead = np.maximum(np.abs(v.real), np.abs(v.imag)) > big

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._common import as_array, restore_shape, typed_float_errors
+from ._common import _coerce, _finite, as_array, restore_shape, typed_float_errors
 from .exceptions import ExtrapolationError, ParameterError, SplineConstructionError
 
 __all__ = ["CubicSpline", "build_spline", "eval_spline"]
@@ -191,17 +191,22 @@ def eval_spline(spline, x):
     query equal to a knot returns the interpolated value exactly (to
     rounding).  Out-of-range, NaN, Inf, complex and non-numeric queries
     raise :class:`ExtrapolationError`; a ``spline`` that is not a
-    :class:`CubicSpline` raises :class:`ParameterError`.
+    :class:`CubicSpline` raises :class:`ParameterError`.  The queries take
+    no finiteness pass of their own: NaN and +-inf fail the knot-range test
+    on their min and max, which then names them.  Horner's rule runs in
+    place on the picked rows.
     """
     if not isinstance(spline, CubicSpline):
         raise ParameterError(f"spline must be a CubicSpline, got {spline!r}")
-    xq = as_array(x, np.float64, "x", ExtrapolationError)
+    xq = _coerce(x, np.float64, "x", ExtrapolationError)
     flat = xq.ravel()
     k = spline.knots
     first = last = 0    # the intervals of the smallest and largest query
+    hi = None
     if flat.size:
         lo, hi = flat.min(), flat.max()
         if not (k[0] <= lo and hi <= k[-1]):
+            _finite(xq, "x", ExtrapolationError)
             raise ExtrapolationError(
                 f"queries must lie in the knot range [{k[0]!r}, {k[-1]!r}]"
             )
@@ -222,12 +227,17 @@ def eval_spline(spline, x):
 
         def pick(row):
             return row[idx]
-    d = flat - pick(k)
+    # every picked row is a new array, so the arithmetic runs in it; d is
+    # made complex once, where each complex-by-real product would cast it
+    d = pick(k)
+    d = np.subtract(flat, d, out=d).astype(np.complex128)
     a, b, c, e = spline.coeffs
-    out = ((pick(e) * d + pick(c)) * d + pick(b)) * d + pick(a)
+    out = pick(e)
+    for row in (c, b, a):
+        out *= d
+        out += pick(row)
     # queries on interior knots return the data exactly (d == 0); do the
     # same for the right endpoint instead of evaluating the last cubic
-    right = flat == k[-1]
-    if right.any():
-        out[right] = spline.right_value
+    if hi == k[-1]:
+        out[flat == hi] = spline.right_value
     return restore_shape(out, xq)

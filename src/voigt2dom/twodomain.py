@@ -206,9 +206,14 @@ class TwoDomainEvaluator:
                 half = half - gauss
                 slope += 2.0 * g * gauss
             # the grid is odd-symmetric and w(-x + iy) = conj w(x + iy), so
-            # w'(-x + iy) = -conj w'(x + iy)
-            nodes = np.concatenate([np.conj(half[::-1]), half])
-            slopes = np.concatenate([-np.conj(slope[::-1]), slope])
+            # w'(-x + iy) = -conj w'(x + iy), each written in place before its half
+            n = g.size
+            nodes, slopes = np.empty((2, 2 * n), dtype=np.complex128)
+            np.conjugate(half[::-1], out=nodes[:n])
+            nodes[n:] = half
+            np.conjugate(slope[::-1], out=slopes[:n])
+            np.negative(slopes[:n], out=slopes[:n])
+            slopes[n:] = slope
             self.spline = build_spline(grid, nodes, slopes)
             self.grid = self.spline.knots
 
@@ -239,7 +244,9 @@ class TwoDomainEvaluator:
         """Spline values inside the disk, with exp(-x**2) added back if subtracted."""
         w = eval_spline(self.spline, x)
         if self.gauss_sub:
-            w.real += np.exp(-x * x)
+            g = x * x
+            np.negative(g, out=g)
+            w.real += np.exp(g, out=g)
         return w
 
     def _exterior(self, x):

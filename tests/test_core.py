@@ -392,6 +392,26 @@ class TestCfExternal:
 
     @pytest.mark.parametrize("fn", [
         w_cf_external,
+        lambda z: w_continued_fraction(z, 4),
+        lambda z: w_continued_fraction(z, 11),
+        lambda z: w_continued_fraction(z, 30),
+    ], ids=["w_cf_external", "cf4", "cf11", "cf30"])
+    @pytest.mark.parametrize("bad", [
+        complex(np.nan, 1.0), complex(40.0, np.nan), complex(np.inf, 1.0),
+        complex(-np.inf, 1.0), complex(40.0, np.inf),
+    ], ids=["nan_re", "nan_im", "inf_re", "-inf_re", "inf_im"])
+    def test_nonfinite_behind_the_leading_term_test(self, fn, bad):
+        # the points take no finiteness pass of their own: NaN and +-inf
+        # fail the min/max test of the leading term, and are named before
+        # the batch is split, also among parts past 1e70
+        lead = np.array([1e70 + 1j, -3e71 + 2j, 40.0 + 1e72j, 2e300 + 5e299j])
+        for z in (np.append(lead, bad), np.array([40.0 + 1j, bad]), bad):
+            with pytest.raises(InputDomainError, match=r"^z must be finite \(no NaN/Inf\)$"):
+                fn(z)
+        assert np.array_equal(fn(lead), (0.5j / SQRT_PI) / (0.5 * lead))
+
+    @pytest.mark.parametrize("fn", [
+        w_cf_external,
         lambda z: w_continued_fraction(z, 11),
         lambda z: w_continued_fraction(z, 30),
     ], ids=["w_cf_external", "cf11", "cf30"])

@@ -195,10 +195,13 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, None])
     def test_nonfinite_among_valid_queries_rejected(self, bad):
-        # None converts to NaN, so the finite test rejects it with the rest
+        # None converts to NaN, so the finite test rejects it with the rest;
+        # the queries take no finiteness pass of their own, but NaN and +-inf
+        # fail the knot-range test on their min and max, which names them
         s = build_spline([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 0.5, 1.5])
-        with pytest.raises(ExtrapolationError):
-            eval_spline(s, [0.5, bad, 2.5])
+        for q in ([0.5, bad, 2.5], [bad], bad):
+            with pytest.raises(ExtrapolationError, match=r"^x must be finite \(no NaN/Inf\)$"):
+                eval_spline(s, q)
 
     def test_unsorted_queries(self, rng):
         knots = np.linspace(0, 10, 40)
@@ -528,3 +531,67 @@ class TestRunLookup:
         ev = TwoDomainEvaluator(y)
         perm = rng.permutation(n)
         assert np.array_equal(_bits(ev(xs, 3)[perm]), _bits(ev(xs[perm], 3)))
+
+
+class TestInPlaceArithmetic:
+    """The in-place Horner rule gives the out-of-place formula's values bit for bit."""
+
+    @staticmethod
+    def _formula(s, q):
+        """The out-of-place Horner formula, on the interval a binary search finds."""
+        flat = np.atleast_1d(np.asarray(q, dtype=float)).ravel()
+        k = s.knots
+        i = np.searchsorted(k[1:-1], flat, side="right")
+        a, b, c, e = s.coeffs
+        d = flat - k[i]
+        out = ((e[i] * d + c[i]) * d + b[i]) * d + a[i]
+        out[flat == k[-1]] = s.right_value
+        return out.reshape(np.shape(q))
+
+    @classmethod
+    def _check(cls, s, q):
+        assert np.array_equal(_bits(eval_spline(s, q)), _bits(cls._formula(s, q)))
+
+    @pytest.fixture(params=[1e-3, 0.3, 10.0], ids=["y=1e-3", "y=0.3", "y=10"])
+    def spline(self, request):
+        return TwoDomainEvaluator(request.param).spline
+
+    def test_both_lookups(self, spline, rng):
+        k = spline.knots
+        q = rng.uniform(k[0], k[-1], 50_000)
+        self._check(spline, q)
+        # 40 points per interval, on a third of the table
+        third = k.size // 3
+        dense = np.sort(rng.uniform(k[third], k[2 * third], 40 * third))
+        self._check(_without_index(spline), dense)
+        self._check(spline, dense)
+
+    def test_every_knot_and_the_right_endpoint(self, spline):
+        k = spline.knots
+        self._check(spline, k)
+        self._check(spline, np.full(300, k[-1]))
+        self._check(_without_index(spline), np.full(300, k[-1]))
+
+    def test_single_points(self, spline, rng):
+        k = spline.knots
+        for v in np.concatenate([k[:3], k[-3:], rng.uniform(k[0], k[-1], 300)]):
+            want = _bits(self._formula(spline, [v]))
+            assert np.array_equal(_bits(eval_spline(spline, [v])), want)
+            got = eval_spline(spline, float(v))
+            assert isinstance(got, complex) and np.array_equal(_bits([got]), want)
+
+    def test_two_dimensional_and_empty_queries(self, spline, rng):
+        k = spline.knots
+        self._check(spline, rng.uniform(k[0], k[-1], (40, 25)))
+        empty = eval_spline(spline, np.empty((0, 3)))
+        assert empty.shape == (0, 3) and empty.dtype == np.complex128
+
+    @pytest.mark.parametrize("y", [1e-8, 1e-3, 0.2499])
+    def test_gaussian_add_back(self, y, rng):
+        ev = TwoDomainEvaluator(y)
+        assert ev.gauss_sub
+        x = rng.uniform(-ev.edge, ev.edge, 20_000)
+        for q in (x, x[:1], x[:2], np.array([0.0]), np.array([-0.0])):
+            want = eval_spline(ev.spline, q)
+            want.real = want.real + np.exp(-q * q)
+            assert np.array_equal(_bits(ev._interior(q)), _bits(want))
