@@ -5,7 +5,9 @@ caller's typed error for a bad one.  A function whose own min/max bounds
 test on the array already fails on NaN and +-inf takes only the coercion,
 :func:`_coerce`, and where that test fails runs the finiteness pass,
 :func:`_finite`, before its own error, so a NaN or Inf still raises the
-same error with the same message.  A component formula runs through
+same error with the same message: the spline lookup, the continued
+fractions' leading-term split and the two-domain evaluator, whose mask
+function takes each block's min and max.  A component formula runs through
 :func:`pointwise`, so that a point's value is the same in a scalar and in
 any array.  An evaluator whose points take different formulas flattens
 the array with ``arr.ravel()`` and hands it to :func:`in_blocks`, the one
@@ -128,8 +130,9 @@ def in_blocks(flat, masks, fns):
     """Complex128 values of the branches ``fns`` on the 1-D points ``flat``.
 
     Each block of at most ``_BLOCK`` points is split by ``masks(block)``, one
-    boolean mask per branch (``np.True_`` for the whole block); the masks
-    partition the block, and a mask function that finds a bad point raises.
+    boolean mask per branch (``np.True_`` for the whole block, ``np.False_``
+    for none of it); the masks partition the block, and a mask function that
+    finds a bad point raises.
     A branch maps its selected points to a new array of their values, which
     goes into the block's slice of the one output.  A branch is called only
     for a mask that selects some point, and a mask that selects the whole

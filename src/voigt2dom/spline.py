@@ -193,18 +193,21 @@ def eval_spline(spline, x):
     raise :class:`ExtrapolationError`; a ``spline`` that is not a
     :class:`CubicSpline` raises :class:`ParameterError`.  The queries take
     no finiteness pass of their own: NaN and +-inf fail the knot-range test
-    on their min and max, which then names them.  Horner's rule runs in
-    place on the picked rows.
+    on their min and max, which then names them.  A non-decreasing query
+    array takes its min and max from its ends, with no pass of their own;
+    a NaN anywhere in a longer one fails the sortedness test, so it takes
+    the pass.  Horner's rule runs in place on the picked rows.
     """
     if not isinstance(spline, CubicSpline):
         raise ParameterError(f"spline must be a CubicSpline, got {spline!r}")
     xq = _coerce(x, np.float64, "x", ExtrapolationError)
     flat = xq.ravel()
     k = spline.knots
+    ascending = (flat[1:] >= flat[:-1]).all()     # False at any NaN but a lone one
     first = last = 0    # the intervals of the smallest and largest query
     hi = None
     if flat.size:
-        lo, hi = flat.min(), flat.max()
+        lo, hi = (flat[0], flat[-1]) if ascending else (flat.min(), flat.max())
         if not (k[0] <= lo and hi <= k[-1]):
             _finite(xq, "x", ExtrapolationError)
             raise ExtrapolationError(
@@ -213,8 +216,12 @@ def eval_spline(spline, x):
         first, last = np.searchsorted(k[1:-1], (lo, hi), side="right")
 
     # interval index 0 .. n-2; the right endpoint falls in the last interval
-    if flat.size >= _DENSE * (last - first + 1) and (flat[1:] >= flat[:-1]).all():
-        run = np.diff(np.searchsorted(flat, k[first + 1:last + 1]), prepend=0, append=flat.size)
+    if ascending and flat.size >= _DENSE * (last - first + 1):
+        # the cut at each interior knot, then the end, differenced in place
+        run = np.empty(last - first + 1, dtype=np.intp)
+        run[:-1] = np.searchsorted(flat, k[first + 1:last + 1])
+        run[-1] = flat.size
+        np.subtract(run[1:], run[:-1], out=run[1:])
 
         def pick(row):
             return np.repeat(row[first:last + 1], run)

@@ -32,7 +32,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._common import as_array, in_blocks, option, positive, restore_shape
+from ._common import _coerce, _finite, as_array, in_blocks, option, positive, restore_shape
 from .core import SQRT_PI, fadsamp, w_cf_external
 from .exceptions import (
     DefaultOptionNotice,
@@ -160,10 +160,12 @@ class TwoDomainEvaluator:
 
     A call is one :func:`voigt2dom._common.in_blocks` run over blocks of
     ``voigt2dom._common._BLOCK`` abscissas, each split on ``edge``, and a
-    projection of the result.  A block that lies wholly inside or wholly
-    outside the disk goes to its branch in slices of
-    ``voigt2dom._common._STREAM`` (16 384) abscissas; a split block gathers
-    each side whole.
+    projection of the result.  ``xs`` takes no finiteness pass at entry:
+    each block's one min/max pass, in :meth:`_masks`, names a NaN or Inf
+    before any branch sees that block, and tells a block that lies wholly
+    inside the disk or wholly to one side of it.  Such a block goes to its
+    branch in slices of ``voigt2dom._common._STREAM`` (16 384) abscissas; a
+    split block gathers each side whole.
 
     Parameters
     ----------
@@ -220,7 +222,7 @@ class TwoDomainEvaluator:
     def __call__(self, xs, opt=None):
         """Evaluate at abscissas ``xs``; see :func:`evaluate`."""
         opt = _output_option(opt)
-        xq = as_array(xs, np.float64, "xs")
+        xq = _coerce(xs, np.float64, "xs")
         w = in_blocks(xq.ravel(), self._masks, (self._interior, self._exterior))
         if opt is OutputOption.REAL_PART:
             w = np.ascontiguousarray(w.real)
@@ -236,8 +238,25 @@ class TwoDomainEvaluator:
         return w
 
     def _masks(self, x):
-        """Mask the interior and exterior points of a block."""
-        internal = np.abs(x) <= self.edge
+        """Mask the interior and exterior points of a block; raise if one is not finite.
+
+        One min/max pass over the block does both jobs.  A NaN or +-inf
+        makes its min or max non-finite, and then the block's finiteness
+        pass raises.  The ends bound ``|x|``: a block with ``max|x| <= edge``
+        is all interior, and one that lies wholly past ``edge`` or below
+        ``-edge`` (any block when ``edge`` is -1) all exterior, and each gets
+        the scalar masks ``np.True_`` and ``np.False_``.  Any other block
+        forms the per-point mask ``|x| <= edge``.
+        """
+        lo, hi = x.min(), x.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            _finite(x, "xs")
+        edge = self.edge
+        if max(-lo, hi) <= edge:            # max|x|
+            return np.True_, np.False_
+        if max(lo, -hi, 0.0) > edge:        # a lower bound on min|x|
+            return np.False_, np.True_
+        internal = np.abs(x) <= edge
         return internal, ~internal
 
     def _interior(self, x):

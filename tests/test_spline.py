@@ -199,8 +199,19 @@ class TestEvaluation:
         # the queries take no finiteness pass of their own, but NaN and +-inf
         # fail the knot-range test on their min and max, which names them
         s = build_spline([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 0.5, 1.5])
-        for q in ([0.5, bad, 2.5], [bad], bad):
+        # a sorted query takes its range from its ends: a bad value after a
+        # sorted prefix, dense or not, or at either end must still be named
+        dense = list(np.linspace(0.0, 3.0, 100))
+        for q in ([0.5, bad, 2.5], [bad], bad, [0.5, 1.0, 2.5, bad], [bad, 0.5, 2.5],
+                  dense + [bad], [bad] + dense, [bad] * 20):
             with pytest.raises(ExtrapolationError, match=r"^x must be finite \(no NaN/Inf\)$"):
+                eval_spline(s, q)
+
+    def test_sorted_query_outside_the_knots_rejected(self):
+        s = build_spline([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 0.5, 1.5])
+        for q in ([-0.1, 0.5, 1.0], [0.5, 3.0001], np.linspace(-1.0, 4.0, 200), [1e300],
+                  np.full(40, -5e-324)):
+            with pytest.raises(ExtrapolationError, match=r"^queries must lie in the knot range "):
                 eval_spline(s, q)
 
     def test_unsorted_queries(self, rng):
@@ -571,6 +582,16 @@ class TestInPlaceArithmetic:
         self._check(spline, k)
         self._check(spline, np.full(300, k[-1]))
         self._check(_without_index(spline), np.full(300, k[-1]))
+
+    def test_sorted_queries_with_equal_ends(self, spline):
+        # a non-decreasing query takes its min and max from its two ends
+        k = spline.knots
+        mid = 0.5 * (k[k.size // 2] + k[k.size // 2 + 1])
+        for q in ([mid], np.full(300, mid), np.full(300, k[7]), [-0.0, 0.0], [0.0, -0.0],
+                  np.full(300, k[-1]), np.full(300, k[0]), [k[0], k[-1]]):
+            self._check(spline, q)
+            if np.ptp(q) == 0:      # one interval: the run lookup alone serves it
+                self._check(_without_index(spline), np.repeat(q, _DENSE))
 
     def test_single_points(self, spline, rng):
         k = spline.knots

@@ -465,3 +465,86 @@ class TestBlocking:
         assert ev.edge == -1.0
         xs = np.array([0.0, -0.0, 1e-300, 3.0])
         assert np.array_equal(ev(xs, opt=3), w_cf_external(xs + 1j * y))
+
+
+class TestMasks:
+    """Each block's one min/max pass picks its branches and names a non-finite abscissa."""
+
+    @staticmethod
+    def _blocks(edge):
+        """Blocks wholly inside, wholly outside and straddling, some ending at ``+-edge`` or just past it."""
+        e = max(edge, 0.0)
+        past = np.nextafter(e, np.inf)
+        return {
+            "inside": [np.linspace(-e, e, 1001), np.linspace(0.0, e, 301), np.array([e]),
+                       np.array([-e]), np.array([-0.0, 0.0]), np.full(7, np.nextafter(e, 0))],
+            "outside": [np.linspace(past, e + 900.0, 501), -np.linspace(past, e + 900.0, 501),
+                        np.array([past]), np.array([-past]), np.full(5, 1e300)],
+            "both wings": [np.array([-past, past]), np.array([e + 3.0, -(e + 1.0), e + 2.0])],
+            "straddling": [np.linspace(-e, past, 1001), np.linspace(-past, 0.0, 301),
+                           np.linspace(-e - 40.0, e + 40.0, 2001), np.array([0.0, e + 1.0])],
+        }
+
+    @pytest.mark.parametrize("y", [5e-9, 1e-3, 34.9, 35.0, 50.0])
+    def test_scalar_masks_only_for_a_block_on_one_side(self, y):
+        ev = TwoDomainEvaluator(y)
+        for kind, blocks in self._blocks(ev.edge).items():
+            for x in blocks:
+                internal = np.abs(x) <= ev.edge
+                interior, exterior = ev._masks(x)
+                assert np.array_equal(np.broadcast_to(interior, x.shape), internal), (kind, x)
+                assert np.array_equal(np.broadcast_to(exterior, x.shape), ~internal), (kind, x)
+                scalar = np.ndim(interior) == 0
+                assert scalar == (np.ndim(exterior) == 0)
+                if scalar:
+                    assert internal.all() or not internal.any()
+                if kind == "inside" and ev.edge >= 0:
+                    assert scalar and interior
+                if kind == "outside" or ev.edge < 0:
+                    assert scalar and exterior
+                if kind == "straddling" and ev.edge >= 0:
+                    assert not scalar
+
+    @pytest.mark.parametrize("y", [5e-9, 1e-3, 34.9, 35.0, 50.0])
+    def test_values_are_those_of_a_per_point_mask(self, y):
+        ev = TwoDomainEvaluator(y)
+        for blocks in self._blocks(ev.edge).values():
+            for x in blocks:
+                inside = np.abs(x) <= ev.edge
+                want = np.empty(x.shape, dtype=np.complex128)
+                if inside.any():
+                    q = x[inside]
+                    want[inside] = eval_spline(ev.spline, q)
+                    if ev.gauss_sub:
+                        want.real[inside] += np.exp(-q * q)
+                if ev.bypass:
+                    want[~inside] = mirrored_fadsamp(x[~inside], y)
+                elif not inside.all():
+                    want[~inside] = w_cf_external(x[~inside] + 1j * y)
+                assert np.array_equal(ev(x, opt=3).view(np.uint64), want.view(np.uint64)), x
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("y", [5e-9, 1e-3, 50.0])
+    def test_a_nonfinite_abscissa_raises_before_any_branch_sees_its_block(self, bad, y):
+        handed = []
+
+        def gen(z):
+            handed.append(z.copy())
+            return fadsamp(z)
+
+        line = np.linspace(-40.0, 40.0, 4 * _BLOCK)
+        cases = []
+        for where in (5, 3 * _BLOCK + 5):
+            xs = line.copy()
+            xs[where] = bad
+            cases.append(xs)
+        cases += [np.array([bad]), np.array(bad), np.array([[0.0, 1.0], [bad, 2.0]]), bad]
+        ev = TwoDomainEvaluator(y, generator=gen)
+        for xs in cases:
+            for call in (ev, lambda xs, opt: evaluate(xs, y, opt)):
+                with pytest.raises(InputDomainError, match=r"^xs must be finite \(no NaN/Inf\)$"):
+                    call(xs, opt=3)
+        # one build, or on the bypass the three whole blocks before the bad
+        # one, in four slices each: the generator sees only finite points
+        assert len(handed) == (3 * _BLOCK // _STREAM if ev.bypass else 1)
+        assert all(np.isfinite(z).all() for z in handed)
