@@ -128,8 +128,8 @@ def part_error(values, reference, part, metric):
     diff = np.abs(a - b)
     if metric == "abs":
         return diff
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(b == 0, diff, diff / np.abs(b))
+    scale = np.abs(b)
+    return np.divide(diff, scale, out=diff, where=scale != 0)
 
 
 def cmd_errmap(args, parser):

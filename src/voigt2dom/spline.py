@@ -26,6 +26,9 @@ __all__ = ["CubicSpline", "build_spline", "eval_spline"]
 # at 1-2 points per interval the runs cost 1.3-2x as much
 _DENSE = 16
 
+# the bits of -0.0 read as an int64
+_NEGATIVE_ZERO = np.iinfo(np.int64).min
+
 
 class BucketIndex(NamedTuple):
     """Interval lookup table of a spline's knots ``k[0] < ... < k[n-1]``.
@@ -118,6 +121,12 @@ def build_spline(knots, values, slopes=None):
     """Construct the cubic Hermite interpolant through (knots, values, slopes),
     or the not-a-knot cubic spline through (knots, values) without ``slopes``.
 
+    The rows are ``diff(values)/h``, ``(3 delta - 2 m0 - m1)/h`` and
+    ``(m0 + m1 - 2 delta)/h**2`` for the knot gaps ``h``, formed in place.
+    Each division is a multiply of each part by ``1/h`` or ``1/h**2``,
+    which is numpy's complex-by-real quotient bit for bit wherever no part
+    is -0.0; a row with such a part is divided (see :func:`_divide`).
+
     Parameters
     ----------
     knots : array_like of float
@@ -137,7 +146,9 @@ def build_spline(knots, values, slopes=None):
         raise SplineConstructionError(f"values must be one-dimensional, one per knot, got {y.shape}")
     with typed_float_errors(SplineConstructionError):
         h = np.diff(x)
-        delta = np.diff(y) / h
+        delta = np.diff(y)
+        r = 1.0 / h
+        _divide(delta, h, r)
         if slopes is None:
             m = _not_a_knot_slopes(x, y)
         else:
@@ -148,11 +159,39 @@ def build_spline(knots, values, slopes=None):
         coeffs = np.empty((4, x.size - 1), dtype=np.complex128)
         coeffs[0] = y[:-1]
         coeffs[1] = m[:-1]
-        coeffs[2] = (3.0 * delta - 2.0 * m[:-1] - m[1:]) / h
-        coeffs[3] = (m[:-1] + m[1:] - 2.0 * delta) / (h * h)
+        c, e = coeffs[2:]
+        np.multiply(m[:-1], 2.0, out=e)     # 2 m0, held in row e until c is done
+        np.multiply(delta, 3.0, out=c)
+        c -= e
+        c -= m[1:]
+        _divide(c, h, r)
+        np.add(m[:-1], m[1:], out=e)
+        delta *= 2.0
+        e -= delta
+        h *= h                              # h**2 and 1/h**2 take over h and r
+        _divide(e, h, np.divide(1.0, h, out=r))
 
         coeffs.flags.writeable = False
         return CubicSpline(x, coeffs, complex(y[-1]))
+
+
+def _divide(row, h, r):
+    """``row /= h`` in place for a complex ``row``, real ``h`` and ``r = 1/h``,
+    as one multiply of each part by ``r`` where that is the same bit for bit.
+
+    numpy divides a complex by a real ``h`` as by ``h + 0j``, and its Smith
+    loop takes ``(re + im*0) * (1/h)`` and ``(im - re*0) * (1/h)``.  The
+    added zero changes a part only where that part is -0.0 (its sign then
+    depends on the other part's), so a row with no -0.0 part is each part
+    times ``r``: every value is the quotient's, and a float error is
+    raised where the division raises one.  -0.0 is the one float whose bits
+    read as the smallest int64.
+    """
+    if row.view(np.int64).min() == _NEGATIVE_ZERO:
+        row /= h
+    else:
+        row.real *= r
+        row.imag *= r
 
 
 def _not_a_knot_slopes(x, y):

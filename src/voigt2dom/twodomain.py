@@ -200,22 +200,31 @@ class TwoDomainEvaluator:
             g = grid[grid.size // 2:]
             z = g + 1j * self.y
             half = self._generate(z)
-            # w'(z) = -2z w(z) + 2i/sqrt(pi) (Abramowitz & Stegun 7.1.20);
-            # z * half first, as 2z overflows at y near the largest float
-            slope = 2j / SQRT_PI - 2.0 * (z * half)
-            if self.gauss_sub:
-                gauss = np.exp(-g * g)
-                half = half - gauss
-                slope += 2.0 * g * gauss
-            # the grid is odd-symmetric and w(-x + iy) = conj w(x + iy), so
-            # w'(-x + iy) = -conj w'(x + iy), each written in place before its half
             n = g.size
             nodes, slopes = np.empty((2, 2 * n), dtype=np.complex128)
-            np.conjugate(half[::-1], out=nodes[:n])
-            nodes[n:] = half
-            np.conjugate(slope[::-1], out=slopes[:n])
-            np.negative(slopes[:n], out=slopes[:n])
-            slopes[n:] = slope
+            node, slope = nodes[n:], slopes[n:]
+            node[:] = half          # a copy: the generator's array is never written
+            # w'(z) = -2z w(z) + 2i/sqrt(pi) (Abramowitz & Stegun 7.1.20);
+            # z * half first, as 2z overflows at y near the largest float
+            np.multiply(z, half, out=slope)
+            slope *= 2.0
+            np.subtract(2j / SQRT_PI, slope, out=slope)
+            if self.gauss_sub:
+                gauss = g * g
+                np.negative(gauss, out=gauss)
+                np.exp(gauss, out=gauss)
+                # .real leaves each imaginary part as it is; as complex
+                # operands the Gaussian terms would subtract +0.0 from the
+                # node's (no change) and add +0.0 to the slope's, which
+                # changes only a -0.0, and 2/sqrt(pi) - 2 Im(z w) is never -0.0
+                node.real -= gauss
+                gauss *= 2.0 * g
+                slope.real += gauss
+            # the grid is odd-symmetric and w(-x + iy) = conj w(x + iy), so
+            # w'(-x + iy) = -conj w'(x + iy): each half mirrored in place
+            np.conjugate(node[::-1], out=nodes[:n])
+            np.negative(slope.real[::-1], out=slopes.real[:n])
+            slopes.imag[:n] = slope.imag[::-1]
             self.spline = build_spline(grid, nodes, slopes)
             self.grid = self.spline.knots
 

@@ -184,7 +184,7 @@ class TestPartError:
         diff = np.abs(a - b)
         with np.errstate(divide="ignore", invalid="ignore"):
             want = diff if metric == "abs" else np.where(b != 0, diff / np.abs(b), diff)
-        assert err.dtype == np.float64 and np.array_equal(err, want)
+        assert err.dtype == np.float64 and np.array_equal(err.view(np.uint64), want.view(np.uint64))
         assert (vals.tobytes(), ref.tobytes()) == before
 
 

@@ -75,7 +75,9 @@ class TestConstruction:
 
     @pytest.mark.parametrize("with_slopes", [False, True])
     @pytest.mark.parametrize("knots", [
+        [0.0, 1e-310, 1.0, 2.0],                # h is subnormal: 1/h overflows
         [0.0, 1e-300, 1.0, 2.0],                # h^2 underflows to 0
+        [0.0, 1e-200, 1.0, 2.0],
         [0.0, 1e-160, 1.0, 2.0],                # h^2 is subnormal
         [-1.5e308, -1e308, 1e308, 1.5e308],     # a knot gap overflows
     ])
@@ -368,6 +370,49 @@ class TestHermite:
         # the left end of interval i + 1
         assert np.max(np.abs(right_val - values[1:])) < 1e-12 * np.max(np.abs(values))
         assert np.max(np.abs(right_der - slopes[1:])) < 1e-11 * np.max(np.abs(slopes))
+
+    @staticmethod
+    def _division_form(knots, values, slopes):
+        """The coefficient rows as the textbook divides them."""
+        h = np.diff(knots)
+        delta = np.diff(values) / h
+        m0, m1 = slopes[:-1], slopes[1:]
+        return np.stack([values[:-1], m0, (3.0 * delta - 2.0 * m0 - m1) / h,
+                         (m0 + m1 - 2.0 * delta) / (h * h)])
+
+    @staticmethod
+    def _with_signed_zeros(rng, z):
+        """``z`` with about a third of its real and imaginary parts +0.0 or -0.0."""
+        for part in (z.real, z.imag):
+            zero = rng.random(z.shape) < 0.35
+            part[zero] = np.copysign(0.0, rng.normal(size=zero.sum()))
+        return z
+
+    @pytest.mark.parametrize("case", [
+        "signed zeros", "real-only", "zero slopes", "not-a-knot", "underflow",
+    ])
+    def test_rows_are_the_division_form_bit_for_bit(self, case):
+        # the rows multiply by 1/h: every value must be the quotient's, -0.0
+        # and parts that underflow to 0 included
+        rng = np.random.default_rng(sum(map(ord, case)))
+        for _ in range(40):
+            n = int(rng.integers(4, 30))
+            knots = np.sort(rng.uniform(-30.0, 30.0, n))
+            values, slopes = (self._with_signed_zeros(rng, rng.normal(size=n) + 1j * rng.normal(size=n))
+                              for _ in range(2))
+            if case == "real-only":
+                values, slopes = values.real.copy(), slopes.real.copy()
+            elif case == "zero slopes":
+                slopes = np.zeros(n, complex)
+                slopes.real, slopes.imag = np.copysign(0.0, rng.normal(size=(2, n)))
+            elif case == "not-a-knot":
+                slopes = ScipyCubicSpline(knots, values, bc_type="not-a-knot")(knots, 1)
+            elif case == "underflow":      # subnormal data: many quotients round to +-0
+                values, slopes = values * 1e-321, slopes * 1e-321
+            given = None if case == "not-a-knot" else slopes
+            got = build_spline(knots, values, given).coeffs
+            want = self._division_form(knots, *(np.asarray(a, complex) for a in (values, slopes)))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize(
         "slopes",

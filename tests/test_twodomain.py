@@ -23,7 +23,8 @@ from voigt2dom import (
 )
 from voigt2dom import twodomain
 from voigt2dom._common import _BLOCK, _STREAM
-from voigt2dom.spline import eval_spline
+from voigt2dom.core import SQRT_PI
+from voigt2dom.spline import build_spline, eval_spline
 from voigt2dom.twodomain import _GAUSS_SUB_Y
 
 EPS = 2.0**-52
@@ -293,6 +294,37 @@ class TestHermiteTable:
         # knot i < n is the mirror of non-negative knot 2n - 1 - i
         mirror = -np.conj(expect[::-1])
         np.testing.assert_allclose(b[:n], mirror, rtol=1e-12, atol=0)
+
+
+    @pytest.mark.parametrize("y", [1e-3, 0.2499999, 0.25, 1.0])
+    def test_build_leaves_the_generated_array_as_it_was(self, y):
+        # the build subtracts the Gaussian in place, in its own copy
+        kept = []
+
+        def generator(z):
+            w = fadsamp(z)
+            kept.append((w, w.copy()))
+            return w
+
+        TwoDomainEvaluator(y, generator=generator)
+        [(w, before)] = kept
+        assert np.array_equal(w.view(np.uint64), before.view(np.uint64))
+
+    @pytest.mark.parametrize("y", [1e-8, 1e-3, 0.2499999, 0.25, 1.0, 30.0])
+    def test_table_is_the_out_of_place_build_bit_for_bit(self, y):
+        ev = TwoDomainEvaluator(y)
+        g = ev.grid[ev.grid.size // 2:]
+        z = g + 1j * y
+        half = fadsamp(z)
+        slope = 2j / SQRT_PI - 2.0 * (z * half)
+        if y < _GAUSS_SUB_Y:
+            gauss = np.exp(-g * g)
+            half = half - gauss
+            slope = slope + 2.0 * g * gauss
+        nodes = np.concatenate([np.conj(half[::-1]), half])
+        slopes = np.concatenate([-np.conj(slope[::-1]), slope])
+        want = build_spline(ev.grid, nodes, slopes).coeffs
+        assert np.array_equal(ev.spline.coeffs.view(np.uint64), want.view(np.uint64))
 
 
 class TestAccuracyInvariants:
