@@ -254,9 +254,9 @@ def _cf_points(z, depth, fn):
     1e12: at depth 100 its own would be 934, where the leading term is off
     by 6e-7.  One min/max pass over the float pairs decides, and stands in
     for the finiteness pass, since NaN and +-inf fail it too; only when it
-    fails are the points checked to be finite and then split, by
-    :func:`in_blocks`, and the fraction's branch goes through
-    :func:`pointwise` too, since a block may hand it a single point.
+    fails are the points checked to be finite, and then the fraction runs on
+    the whole batch with each such point set to ``big``, where it cannot
+    overflow, and the leading term overwrites those points' values.
     """
     zz = _coerce(z, np.complex128, "z")
     big = 10.0 ** (300.0 / (min(depth, _CF_RATIONAL_DEPTH) + 1))
@@ -265,14 +265,13 @@ def _cf_points(z, depth, fn):
         return pointwise(zz, fn)
     _finite(zz, "z")
 
-    def masks(v):
-        lead = np.maximum(np.abs(v.real), np.abs(v.imag)) > big
-        return ~lead, lead
+    def split(flat):
+        lead = np.maximum(np.abs(flat.real), np.abs(flat.imag)) > big
+        out = fn(np.where(lead, big, flat))
+        out[lead] = (0.5j / SQRT_PI) / (0.5 * flat[lead])
+        return out
 
-    return pointwise(zz, lambda flat: in_blocks(flat, masks, (
-        lambda v: pointwise(v, fn),
-        lambda v: (0.5j / SQRT_PI) / (0.5 * v),
-    )))
+    return pointwise(zz, split)
 
 
 @functools.cache

@@ -35,15 +35,14 @@ class BucketIndex(NamedTuple):
 
     ``[k[0], k[n-1]]`` is cut into ``n`` equal buckets; ``x`` is in bucket
     ``b = min(int((x - origin) * scale), n - 1)``.  ``below[b]`` counts the
-    interior knots in buckets below ``b``, ``stops`` holds the interior knots
-    padded with ``+inf``, and ``steps`` the powers of two from the fullest
-    bucket's knot count down to 1.
+    interior knots in buckets below ``b``, and ``steps`` holds the powers of
+    two from the fullest bucket's knot count down to 1.  The jumps read the
+    spline's own knots, so ``below`` is the one array, one entry per knot.
     """
 
     origin: float
     scale: float
     below: np.ndarray
-    stops: np.ndarray
     steps: tuple
 
 
@@ -63,22 +62,21 @@ def _bucket_index(k):
 
     One bucket per knot: on a two-domain grid, whose knot gaps differ by at
     most 2x away from the +-r*eps centre pair, no bucket then holds more
-    than three interior knots, so a query takes two jumps.  Buckets as narrow
-    as the second-smallest gap would save one jump on about half of the
-    grids, but their 1.4x larger table costs more to build, once per ``y``,
-    than that jump costs on a few thousand points.
+    than three interior knots, so a query takes two jumps, each reading the
+    knots themselves.  Buckets as narrow as the second-smallest gap would
+    save one jump on about half of the grids, but their 1.4x longer
+    ``below`` costs more to build, once per ``y``, than that jump costs on a
+    few thousand points.
     """
     n = k.size
     scale = n / (k[-1] - k[0])
-    inner = k[1:-1]
-    bucket = np.minimum(((inner - k[0]) * scale).astype(np.intp), n - 1)
+    bucket = np.minimum(((k[1:-1] - k[0]) * scale).astype(np.intp), n - 1)
     count = np.bincount(bucket, minlength=n)
     below = np.cumsum(count) - count
     fullest = int(count.max())
     steps = tuple(1 << p for p in reversed(range(fullest.bit_length())))
-    stops = np.concatenate([inner, np.full(fullest, np.inf)])
-    below.flags.writeable = stops.flags.writeable = False
-    return BucketIndex(float(k[0]), scale, below, stops, steps)
+    below.flags.writeable = False
+    return BucketIndex(float(k[0]), scale, below, steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,34 +223,35 @@ def eval_spline(spline, x):
     over each interval's run of points.  Any other query finds its interval
     through the spline's :class:`BucketIndex`: as the bucket map is
     monotone, ``below`` of the query's bucket is a lower bound on the
-    interval, and one jump per entry ``s`` of ``steps`` (``i += s`` where the
-    query is at or past ``stops[i + s - 1]``) lands on the interval.  A
-    query equal to a knot returns the interpolated value exactly (to
-    rounding).  Out-of-range, NaN, Inf, complex and non-numeric queries
-    raise :class:`ExtrapolationError`; a ``spline`` that is not a
-    :class:`CubicSpline` raises :class:`ParameterError`.  The queries take
-    no finiteness pass of their own: NaN and +-inf fail the knot-range test
-    on their min and max, which then names them.  A non-decreasing query
-    array takes its min and max from its ends, with no pass of their own;
-    a NaN anywhere in a longer one fails the sortedness test, so it takes
-    the pass.  Horner's rule runs in place on the picked rows.
+    interval, and one jump per entry ``s`` of ``steps`` (``i += s`` where
+    the query is at or past knot ``i + s``, or the last knot) lands on the
+    interval, held to the last one for a query on the last knot.  A query
+    equal to a knot returns the interpolated value exactly (to rounding); an
+    empty query returns at once.  Out-of-range, NaN, Inf, complex and
+    non-numeric queries raise :class:`ExtrapolationError`; a ``spline`` that
+    is not a :class:`CubicSpline` raises :class:`ParameterError`.  The
+    queries take no finiteness pass of their own: NaN and +-inf fail the
+    knot-range test on their min and max, which then names them.  A
+    non-decreasing query array takes its min and max from its ends; a NaN
+    anywhere in a longer one fails the sortedness test, so it takes the
+    pass.  Horner's rule runs in place on the picked rows.
     """
     if not isinstance(spline, CubicSpline):
         raise ParameterError(f"spline must be a CubicSpline, got {spline!r}")
     xq = _coerce(x, np.float64, "x", ExtrapolationError)
     flat = xq.ravel()
+    if not flat.size:
+        return np.empty(xq.shape, dtype=np.complex128)
     k = spline.knots
-    ascending = (flat[1:] >= flat[:-1]).all()     # False at any NaN but a lone one
-    first = last = 0    # the intervals of the smallest and largest query
-    hi = None
-    if flat.size:
-        lo, hi = (flat[0], flat[-1]) if ascending else (flat.min(), flat.max())
-        if not (k[0] <= lo and hi <= k[-1]):
-            _finite(xq, "x", ExtrapolationError)
-            raise ExtrapolationError(
-                f"queries must lie in the knot range [{k[0]!r}, {k[-1]!r}]"
-            )
-        first, last = np.searchsorted(k[1:-1], (lo, hi), side="right")
+    # False at any NaN but a lone one; half of shuffled queries skip the pass
+    ascending = flat[0] <= flat[-1] and (flat[1:] >= flat[:-1]).all()
+    lo, hi = (flat[0], flat[-1]) if ascending else (flat.min(), flat.max())
+    if not (k[0] <= lo and hi <= k[-1]):
+        _finite(xq, "x", ExtrapolationError)
+        raise ExtrapolationError(
+            f"queries must lie in the knot range [{k[0]!r}, {k[-1]!r}]"
+        )
+    first, last = np.searchsorted(k[1:-1], (lo, hi), side="right")   # lo's and hi's intervals
 
     # interval index 0 .. n-2; the right endpoint falls in the last interval
     if ascending and flat.size >= _DENSE * (last - first + 1):
@@ -269,7 +268,9 @@ def eval_spline(spline, x):
         bucket = ((flat - ix.origin) * ix.scale).astype(np.intp)
         idx = np.take(ix.below, bucket, mode="clip")    # the right end clips to bucket n - 1
         for s in ix.steps:
-            idx += s * (flat >= ix.stops[s - 1:][idx])
+            idx += s * (flat >= np.take(k[s:], idx, mode="clip"))
+        if hi == k[-1]:     # only a query on the last knot passes it
+            np.minimum(idx, k.size - 2, out=idx)
 
         def pick(row):
             return row[idx]

@@ -385,10 +385,13 @@ class TestCfExternal:
         lambda z: w_continued_fraction(z, 30),
     ], ids=["w_cf_external", "cf11", "cf16", "cf30"])
     def test_leading_term_points_leave_the_others_alone(self, fn):
-        # the leading-term points split the batch, and the fraction's
-        # branch gets z0 alone
+        # the fraction runs on the whole batch with the leading-term points
+        # set to the bound, and then their values are overwritten: a point
+        # of either kind gets the value it gets alone
         for z0 in self.exterior(3000, 17):
             assert fn([z0, 1e70 + 1j, -3e65 + 2j])[0] == fn(z0)
+            bits = np.array([fn([z0, 1e70 + 1j])[1], fn(1e70 + 1j)]).view(np.uint64).reshape(2, 2)
+            assert (bits[0] == bits[1]).all()
 
     @pytest.mark.parametrize("fn", [
         w_cf_external,

@@ -20,7 +20,7 @@ from voigt2dom import (
     eval_spline,
 )
 from voigt2dom._common import _BLOCK
-from voigt2dom.spline import _DENSE
+from voigt2dom.spline import _DENSE, BucketIndex
 
 
 def cubic(x):
@@ -501,7 +501,8 @@ class TestBucketIndex:
     def test_built_on_construction_and_read_only(self):
         s = _interval_spline([0.0, 1.0, 2.5, 3.0])
         assert s.index.below.flags.writeable is False
-        assert s.index.stops.flags.writeable is False
+        # the jumps read the spline's own knots: the index holds no copy of them
+        assert BucketIndex._fields == ("origin", "scale", "below", "steps")
         with pytest.raises(ValueError, match="read-only"):
             s.index.below[0] = 1
         built = build_spline(s.knots, np.ones(4)).index
